@@ -3,9 +3,10 @@
 // Harvey lazy-reduction portable/AVX2/AVX-512-IFMA kernels), the batched
 // dyadic ops (seed per-element Barrett vs. the simd/ kernel set), the
 // fused-vs-unfused single-pass chains (gadget accumulate, negate_add,
-// sub_mul_scalar, fma_into), the canonical-embedding DWT, hardware-model
-// modular multipliers, ChaCha20 expansion, and end-to-end encode/encrypt
-// at bootstrappable parameters.
+// sub_mul_scalar, fma_into), the PRNG layer (multi-block ChaCha20 per
+// tier, uniform and Gaussian sampling, the signed limb expand), the
+// canonical-embedding DWT, hardware-model modular multipliers, ChaCha20
+// expansion, and end-to-end encode/encrypt at bootstrappable parameters.
 //
 // Usage: bench_kernels [--quick] [--reps N] [--json out.json]
 //                      [--arch portable|avx2|avx512ifma]
@@ -16,9 +17,12 @@
 //   the PR 2 acceptance gate reads — and "kernels/..." records in the
 //   unified {op, arch, fused, ns_per_op} schema, whose derived
 //   "fused_speedup/<op>/<arch>" entries the fused-pass acceptance gate
-//   reads.
+//   reads; "prng/<op>/<arch>" records carry the PRNG layer in the same
+//   {op, arch} labels (ns_per_op per block / coefficient, or ms per 2^16
+//   Gaussian samples and per 24-limb expand).
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <functional>
 #include <random>
@@ -31,9 +35,11 @@
 #include "ckks/encryptor.hpp"
 #include "common/table.hpp"
 #include "prng/chacha20.hpp"
+#include "prng/samplers.hpp"
 #include "rns/modmul_algorithms.hpp"
 #include "rns/montgomery.hpp"
 #include "rns/ntt_prime.hpp"
+#include "simd/chacha_kernels.hpp"
 #include "simd/dyadic_kernels.hpp"
 #include "simd/simd_caps.hpp"
 #include "transform/dwt.hpp"
@@ -326,6 +332,71 @@ void bench_fused(bench::JsonReporter& rep, TextTable& table, int reps,
   }
 }
 
+/// The PRNG layer under every seeded fill, at the paper point's sizes:
+/// ChaCha20 keystream per tier, uniform draws mod a 36-bit prime per tier
+/// (the keystream is the tier-dependent part), 2^16 Gaussian samples, and
+/// the signed expand of those samples into 24 limbs. Records use the
+/// kernel schema's {op, arch} labels.
+void bench_prng(bench::JsonReporter& rep, TextTable& table, int reps,
+                const std::vector<simd::KernelArch>& arches) {
+  const auto ctx =
+      ckks::CkksContext::create(ckks::CkksParams::bootstrappable());
+  const std::size_t n = ctx->n();
+  constexpr std::size_t kBlocks = 4096;
+  std::vector<u8> keystream(64 * kBlocks);
+  const std::array<u32, 8> key = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::array<u32, 3> nonce = {6, 0, 0};
+  const prng::UniformModSampler uniform(ctx->primes().front());
+  const prng::DiscreteGaussianSampler gaussian(ctx->params().error_sigma);
+  std::vector<u64> draws(n);
+  std::vector<i32> errors(n);
+  const auto record = [&](const std::string& op, const char* arch,
+                          const std::string& metric, double value) {
+    rep.add_record(bench::BenchResult{"prng/" + op + "/" + arch,
+                                      {{"op", op}, {"arch", arch}},
+                                      {{metric, value}}});
+  };
+  for (simd::KernelArch arch : arches) {
+    simd::set_kernel_arch_for_testing(arch);
+    const char* arch_name = simd::kernel_arch_name(arch);
+    const double t_chacha = bench::time_best_of(reps, [&] {
+      simd::chacha20_blocks(key.data(), 0, nonce.data(), keystream.data(),
+                            kBlocks);
+    });
+    const double ns_per_block = t_chacha * 1e9 / kBlocks;
+    record("chacha20_block", arch_name, "ns_per_op", ns_per_block);
+    table.add_row({"prng chacha20 block", arch_name,
+                   bench::fmt_time(t_chacha / kBlocks), "-"});
+
+    u64 stream = 0;
+    const double t_uniform = bench::time_best_of(reps, [&] {
+      prng::ChaCha20 rng(ctx->params().seed, ++stream, 6);
+      uniform.sample_many(rng, draws);
+    });
+    record("uniform_sample_many", arch_name, "ns_per_op",
+           t_uniform * 1e9 / static_cast<double>(n));
+    table.add_row({"prng uniform 2^16 coeffs", arch_name,
+                   bench::fmt_time(t_uniform), "-"});
+
+    const double t_gauss = bench::time_best_of(reps, [&] {
+      prng::ChaCha20 rng(ctx->params().seed, ++stream, 7);
+      gaussian.sample_many(rng, errors);
+    });
+    record("gaussian_sample_many", arch_name, "ms", t_gauss * 1e3);
+    table.add_row({"prng gaussian 2^16 samples", arch_name,
+                   bench::fmt_time(t_gauss), "-"});
+  }
+  simd::set_kernel_arch_for_testing(simd::detected_kernel_arch());
+
+  // The expand is scalar on every tier: one row.
+  poly::RnsPoly e = ctx->make_poly(ctx->max_limbs(), poly::Domain::kCoeff);
+  const double t_expand =
+      bench::time_best_of(reps, [&] { e.set_from_signed_i32(errors); });
+  record("expand_signed_i32", "scalar", "ms", t_expand * 1e3);
+  table.add_row({"prng expand_signed_i32 2^16x24", "-",
+                 bench::fmt_time(t_expand), "-"});
+}
+
 void bench_misc(bench::JsonReporter& rep, TextTable& table, int reps,
                 bool quick) {
   // Canonical-embedding DWT.
@@ -424,6 +495,7 @@ int main(int argc, char** argv) {
   bench_ntt(rep, table, reps, args.quick, arches);
   bench_dyadic(rep, table, reps, arches);
   bench_fused(rep, table, reps, arches);
+  bench_prng(rep, table, reps, arches);
   bench_misc(rep, table, reps, args.quick);
 
   table.print();

@@ -143,9 +143,12 @@ void PolyBackend::expand_signed(const poly::PolyContext& ctx,
   const std::size_t n = ctx.n();
   ABC_CHECK_ARG(coeffs.size() == n, "coefficient count mismatch");
   parallel_for(limbs, [&](std::size_t i, std::size_t) {
-    const rns::Modulus& q = ctx.modulus(i);
-    std::span<u64> d = limb_of(dst, i, n);
-    for (std::size_t j = 0; j < n; ++j) d[j] = q.from_signed(coeffs[j]);
+    // By value, so the stores into d cannot force reloads of q's fields.
+    const rns::Modulus q = ctx.modulus(i);
+    const std::span<u64> d = limb_of(dst, i, n);
+    for (std::size_t j = 0; j < d.size(); ++j) {
+      d[j] = q.from_signed(coeffs[j]);
+    }
     xf::op_counts().other += n;  // RNS expansion work
   });
 }
@@ -156,9 +159,21 @@ void PolyBackend::expand_signed_i32(const poly::PolyContext& ctx,
   const std::size_t n = ctx.n();
   ABC_CHECK_ARG(coeffs.size() == n, "coefficient count mismatch");
   parallel_for(limbs, [&](std::size_t i, std::size_t) {
-    const rns::Modulus& q = ctx.modulus(i);
-    std::span<u64> d = limb_of(dst, i, n);
-    for (std::size_t j = 0; j < n; ++j) d[j] = q.from_signed(coeffs[j]);
+    // By value, so the stores into d cannot force reloads of q's fields.
+    const rns::Modulus q = ctx.modulus(i);
+    const std::span<u64> d = limb_of(dst, i, n);
+    if (q.value() > (u64{1} << 31)) {
+      // Every i32 magnitude is below q: x mod q is x, or q + x for x < 0.
+      const u64 qv = q.value();
+      for (std::size_t j = 0; j < d.size(); ++j) {
+        const i64 x = coeffs[j];
+        d[j] = static_cast<u64>(x) + (qv & static_cast<u64>(x >> 63));
+      }
+    } else {
+      for (std::size_t j = 0; j < d.size(); ++j) {
+        d[j] = q.from_signed(coeffs[j]);
+      }
+    }
     xf::op_counts().other += n;
   });
 }

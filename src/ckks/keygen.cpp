@@ -7,9 +7,14 @@ namespace abc::ckks {
 
 void fill_uniform_eval(const CkksContext& ctx, poly::RnsPoly& dst,
                        PrngDomain domain, u64 stream_id) {
+  // One stream per (domain, id, limb): the ChaCha stream selector is
+  // (stream_id << 16) | limb, so the id must fit the upper 48 bits and the
+  // limb index the low 16 — otherwise two (id, limb) pairs would alias.
+  ABC_CHECK_ARG(stream_id < kUniformStreamIdLimit,
+                "uniform stream id exceeds the 48-bit budget");
+  ABC_CHECK_ARG(dst.limbs() <= (std::size_t{1} << 16),
+                "uniform fill exceeds the 16-bit limb budget");
   for (std::size_t i = 0; i < dst.limbs(); ++i) {
-    // One stream per (domain, id, limb): limb folded into the stream id's
-    // upper bits so streams never collide for < 2^32 uses.
     prng::ChaCha20 rng(ctx.params().seed,
                        (stream_id << 16) | static_cast<u64>(i),
                        static_cast<u32>(domain));

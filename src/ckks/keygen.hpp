@@ -197,8 +197,14 @@ struct SamplerScratch {
   std::vector<i32> wide;
 };
 
+/// Exclusive bound on fill_uniform_eval stream ids: the limb index takes
+/// the low 16 bits of the 64-bit ChaCha stream selector.
+inline constexpr u64 kUniformStreamIdLimit = u64{1} << 48;
+
 /// Fills @p dst (evaluation domain) with per-limb uniform values drawn from
 /// the seed/stream — shared by key generation and symmetric encryption.
+/// Throws InvalidArgument when stream_id >= kUniformStreamIdLimit or @p dst
+/// has more than 2^16 limbs.
 void fill_uniform_eval(const CkksContext& ctx, poly::RnsPoly& dst,
                        PrngDomain domain, u64 stream_id);
 

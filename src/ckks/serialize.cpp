@@ -454,7 +454,9 @@ CompressedKeySwitchKey compress_key_switch_key(
   // but never silently expands to different key material).
   const PrngDomain domain = ksk_salted_a_domain(key);
   poly::RnsPoly expect = ctx->make_poly(limbs, poly::Domain::kEval);
-  bool regenerable = true;
+  // Ids past the uniform-fill budget cannot have come from this context.
+  bool regenerable =
+      key.base_stream_id <= kUniformStreamIdLimit - out.stored_digits;
   for (std::size_t d = 0; d < out.stored_digits && regenerable; ++d) {
     fill_uniform_eval(*ctx, expect, domain, key.base_stream_id + d);
     for (std::size_t l = 0; l < limbs && regenerable; ++l) {

@@ -38,4 +38,14 @@ constexpr u128 mul_wide(u64 a, u64 b) noexcept {
 /// High 64 bits of a 64x64 product.
 constexpr u64 mul_hi(u64 a, u64 b) noexcept { return hi64(mul_wide(a, b)); }
 
+/// x mod q by one-word Barrett, exact for any x and any q >= 2, given
+/// ratio = floor(2^64 / q) or floor((2^64 - 1) / q). Either ratio is at
+/// least (2^64 - q) / q, so the quotient estimate mul_hi(x, ratio) is at
+/// most one below floor(x / q) and never above it: one conditional
+/// subtraction finishes the reduction.
+constexpr u64 barrett_reduce_64(u64 x, u64 q, u64 ratio) noexcept {
+  const u64 r = x - mul_hi(x, ratio) * q;
+  return r >= q ? r - q : r;
+}
+
 }  // namespace abc

@@ -1,52 +1,16 @@
 #include "prng/chacha20.hpp"
 
-#include <bit>
-#include <cstring>
+#include <algorithm>
 
-#include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "simd/chacha_kernels.hpp"
 
 namespace abc::prng {
-namespace {
-
-constexpr std::array<u32, 4> kSigma = {0x61707865u, 0x3320646eu, 0x79622d32u,
-                                       0x6b206574u};  // "expand 32-byte k"
-
-inline void quarter_round(u32& a, u32& b, u32& c, u32& d) {
-  a += b; d ^= a; d = std::rotl(d, 16);
-  c += d; b ^= c; b = std::rotl(b, 12);
-  a += b; d ^= a; d = std::rotl(d, 8);
-  c += d; b ^= c; b = std::rotl(b, 7);
-}
-
-}  // namespace
 
 void chacha20_block(const std::array<u32, 8>& key, u32 counter,
                     const std::array<u32, 3>& nonce, std::span<u8, 64> out) {
-  std::array<u32, 16> state = {
-      kSigma[0], kSigma[1], kSigma[2], kSigma[3],
-      key[0],    key[1],    key[2],    key[3],
-      key[4],    key[5],    key[6],    key[7],
-      counter,   nonce[0],  nonce[1],  nonce[2],
-  };
-  std::array<u32, 16> x = state;
-  for (int round = 0; round < 10; ++round) {
-    quarter_round(x[0], x[4], x[8], x[12]);
-    quarter_round(x[1], x[5], x[9], x[13]);
-    quarter_round(x[2], x[6], x[10], x[14]);
-    quarter_round(x[3], x[7], x[11], x[15]);
-    quarter_round(x[0], x[5], x[10], x[15]);
-    quarter_round(x[1], x[6], x[11], x[12]);
-    quarter_round(x[2], x[7], x[8], x[13]);
-    quarter_round(x[3], x[4], x[9], x[14]);
-  }
-  for (int i = 0; i < 16; ++i) {
-    const u32 word = x[i] + state[i];
-    out[4 * i + 0] = static_cast<u8>(word);
-    out[4 * i + 1] = static_cast<u8>(word >> 8);
-    out[4 * i + 2] = static_cast<u8>(word >> 16);
-    out[4 * i + 3] = static_cast<u8>(word >> 24);
-  }
+  simd::chacha20_blocks_portable(key.data(), counter, nonce.data(),
+                                 out.data(), 1);
 }
 
 ChaCha20::ChaCha20(const std::array<u8, 16>& seed, u64 stream_id, u32 domain) {
@@ -67,38 +31,35 @@ ChaCha20::ChaCha20(const std::array<u8, 16>& seed, u64 stream_id, u32 domain) {
 }
 
 void ChaCha20::refill() {
-  chacha20_block(key_, counter_, nonce_, std::span<u8, 64>(buffer_));
-  ++counter_;
-  ++blocks_;
+  simd::chacha20_blocks(key_.data(), counter_, nonce_.data(), buffer_.data(),
+                        kBufferBlocks);
+  counter_ += static_cast<u32>(kBufferBlocks);
   pos_ = 0;
 }
 
 void ChaCha20::fill_bytes(std::span<u8> out) {
-  std::size_t written = 0;
-  while (written < out.size()) {
-    if (pos_ == buffer_.size()) refill();
+  const auto drain = [&](std::size_t& written) {
     const std::size_t chunk =
-        std::min(buffer_.size() - pos_, out.size() - written);
+        std::min(kBufferBytes - pos_, out.size() - written);
     std::memcpy(out.data() + written, buffer_.data() + pos_, chunk);
     pos_ += chunk;
     written += chunk;
+  };
+  std::size_t written = 0;
+  drain(written);
+  // Whole blocks past the buffer go straight to the caller: the same
+  // keystream bytes, without the copy.
+  const std::size_t direct = (out.size() - written) / 64;
+  if (direct > 0) {
+    simd::chacha20_blocks(key_.data(), counter_, nonce_.data(),
+                          out.data() + written, direct);
+    counter_ += static_cast<u32>(direct);
+    written += 64 * direct;
   }
-}
-
-u64 ChaCha20::next_u64() {
-  std::array<u8, 8> bytes;
-  fill_bytes(bytes);
-  u64 v = 0;
-  std::memcpy(&v, bytes.data(), 8);
-  return v;
-}
-
-u32 ChaCha20::next_u32() {
-  std::array<u8, 4> bytes;
-  fill_bytes(bytes);
-  u32 v = 0;
-  std::memcpy(&v, bytes.data(), 4);
-  return v;
+  if (written < out.size()) {
+    refill();
+    drain(written);
+  }
 }
 
 double ChaCha20::next_double() {

@@ -13,17 +13,24 @@
 
 namespace abc::prng {
 
-/// Rejection sampler for uniform values in [0, modulus).
+/// Rejection sampler for uniform values in [0, modulus): one 64-bit word
+/// per draw, words >= reject_bound_ skipped, accepted words reduced mod q.
+/// The reduction is a one-word Barrett (the one rns::Modulus::reduce uses)
+/// rather than a division; it is exact, so the output is r % q.
 class UniformModSampler {
  public:
   explicit UniformModSampler(u64 modulus);
 
   u64 sample(ChaCha20& rng) const;
+  /// Same values, same keystream consumption as repeated sample(): whole
+  /// buffered batches are bound-checked and reduced in one pass, and a
+  /// batch holding a rejected word is redone word by word.
   void sample_many(ChaCha20& rng, std::span<u64> out) const;
 
  private:
   u64 modulus_;
-  u64 reject_bound_;  // largest multiple of modulus <= 2^64
+  u64 ratio_;         // floor((2^64 - 1) / modulus)
+  u64 reject_bound_;  // ratio_ * modulus: the wrap-free draw region
 };
 
 /// Uniform ternary secrets in {-1, 0, 1} (the common CKKS secret
@@ -49,8 +56,7 @@ class DiscreteGaussianSampler {
  private:
   double sigma_;
   int tail_;
-  // cdf_[k] = P(|X| <= k) scaled to 2^63; magnitude found by linear scan
-  // (table has ~20 entries).
+  // cdf_[k] = P(|X| <= k) scaled to 2^63 (table has ~20 entries).
   std::vector<u64> cdf_;
 };
 

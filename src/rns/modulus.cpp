@@ -20,15 +20,6 @@ Modulus::Modulus(u64 value) : value_(value) {
   ratio_hi_ = hi64(quotient);
 }
 
-u64 Modulus::reduce(u64 x) const noexcept {
-  // Barrett with single-word input: estimate quotient via the high ratio
-  // word; at most one correction.
-  const u64 estimate = mul_hi(x, ratio_hi_);
-  u64 r = x - estimate * value_;
-  while (r >= value_) r -= value_;
-  return r;
-}
-
 u64 Modulus::reduce_128(u128 x) const noexcept {
   // qhat = floor(x * ratio / 2^128), computed word-by-word.
   const u64 x0 = lo64(x);

@@ -28,8 +28,11 @@ class Modulus {
     return value_ == other.value_;
   }
 
-  /// x mod q for any 64-bit x.
-  u64 reduce(u64 x) const noexcept;
+  /// x mod q for any 64-bit x (one-word Barrett; the high ratio word is
+  /// floor(2^64 / q)).
+  u64 reduce(u64 x) const noexcept {
+    return barrett_reduce_64(x, value_, ratio_hi_);
+  }
 
   /// x mod q for any 128-bit x (Barrett with the 2^128 ratio).
   u64 reduce_128(u128 x) const noexcept;
@@ -55,11 +58,16 @@ class Modulus {
     return a > value_ / 2 ? static_cast<i64>(a) - static_cast<i64>(value_)
                           : static_cast<i64>(a);
   }
-  /// Map a signed value into [0, q).
+  /// Map a signed value into [0, q): x mod q for every i64, without a
+  /// division. Reduces |x| (INT64_MIN's magnitude 2^63 included) and
+  /// negates mod q when x < 0.
   u64 from_signed(i64 x) const noexcept {
-    i64 r = x % static_cast<i64>(value_);
-    if (r < 0) r += static_cast<i64>(value_);
-    return static_cast<u64>(r);
+    const u64 neg = static_cast<u64>(x >> 63);  // all ones when x < 0
+    const u64 r = reduce((static_cast<u64>(x) ^ neg) - neg);  // |x| mod q
+    // r, or q - r when x < 0, without a branch on the (random) sign; the
+    // conditional subtraction maps q - 0 to 0.
+    const u64 y = ((r ^ neg) - neg) + (value_ & neg);
+    return y >= value_ ? y - value_ : y;
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -73,6 +74,28 @@ TEST(Backend, ThreadPoolMatchesScalarBitExactly) {
     const poly::RnsPoly got = run_op_sequence(
         std::make_shared<backend::ThreadPoolBackend>(threads));
     expect_equal_polys(ref, got);
+  }
+}
+
+TEST(Backend, ExpandSignedI32MatchesFromSignedForEveryPrimeWidth) {
+  // Primes above 2^31 take the no-reduction path, narrower ones reduce;
+  // both must equal Modulus::from_signed, i32 extremes included.
+  std::vector<i32> coeffs = {std::numeric_limits<i32>::min(),
+                             std::numeric_limits<i32>::max(), -1, 0, 1};
+  std::mt19937_64 rng(3);
+  while (coeffs.size() < 1024) coeffs.push_back(static_cast<i32>(rng()));
+  for (int bits : {20, 30, 31, 32, 36, 50}) {
+    auto ctx = poly::PolyContext::create(
+        10, rns::select_prime_chain(bits, 10, 2));
+    poly::RnsPoly p(ctx, 2, poly::Domain::kCoeff);
+    p.set_from_signed_i32(coeffs);
+    for (std::size_t i = 0; i < 2; ++i) {
+      const std::span<const u64> limb = p.limb(i);
+      for (std::size_t j = 0; j < coeffs.size(); ++j) {
+        ASSERT_EQ(limb[j], ctx->modulus(i).from_signed(coeffs[j]))
+            << "bits=" << bits << " x=" << coeffs[j];
+      }
+    }
   }
 }
 

@@ -159,6 +159,21 @@ TEST_F(KeyCacheTest, ForeignUniformHalvesFallBackToPackedStorage) {
   EXPECT_TRUE(digits_equal(back, gk, rec.stored_digits));
 }
 
+TEST_F(KeyCacheTest, StreamIdPastUniformBudgetFallsBackToPackedStorage) {
+  const auto ctx = ckks::CkksContext::create(small_params());
+  ckks::KeyGenerator gen(ctx);
+  const ckks::SecretKey sk = gen.secret_key();
+  ckks::KeySwitchKey gk = gen.galois_key(sk, 5);
+  // No uniform fill accepts this id, so the regeneration check must not
+  // even try: the key keeps its a halves packed instead of throwing.
+  gk.base_stream_id |= ckks::kUniformStreamIdLimit;
+  const ckks::CompressedKeySwitchKey rec =
+      ckks::compress_key_switch_key(ctx, gk);
+  EXPECT_FALSE(rec.packed_a.empty());
+  const ckks::KeySwitchKey back = ckks::expand_key_switch_key(ctx, rec);
+  EXPECT_TRUE(digits_equal(back, gk, rec.stored_digits));
+}
+
 // ---------------------------------------------------------------------------
 // Capacity validation
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 #include "common/math_util.hpp"
 #include "rns/modulus.hpp"
+#include "rns/ntt_prime.hpp"
 
 namespace abc::rns {
 namespace {
@@ -89,6 +91,39 @@ TEST(Modulus, CenteredRepresentation) {
   EXPECT_EQ(q.to_centered(16), -1);
   for (i64 x = -40; x <= 40; ++x) {
     EXPECT_EQ(q.from_signed(x), static_cast<u64>(((x % 17) + 17) % 17));
+  }
+}
+
+TEST(Modulus, FromSignedMatchesRemainderAtEdges) {
+  // The division-free from_signed must agree with the %-based mapping it
+  // replaced, for every i64 — including INT64_MIN, whose magnitude 2^63
+  // has no i64 representation.
+  const auto reference = [](i64 x, u64 q) {
+    i64 r = x % static_cast<i64>(q);
+    if (r < 0) r += static_cast<i64>(q);
+    return static_cast<u64>(r);
+  };
+  constexpr i64 kMin = std::numeric_limits<i64>::min();
+  constexpr i64 kMax = std::numeric_limits<i64>::max();
+  constexpr i64 kMin32 = std::numeric_limits<i32>::min();
+  constexpr i64 kMax32 = std::numeric_limits<i32>::max();
+  std::mt19937_64 rng(47);
+  for (int bits = 20; bits <= 60; ++bits) {
+    const Modulus q(select_prime_chain(bits, 4, 1)[0]);
+    ASSERT_EQ(q.bit_count(), bits);
+    const i64 qi = static_cast<i64>(q.value());
+    std::vector<i64> xs = {kMin,     kMin + 1, kMax,   kMax - 1, qi,
+                           -qi,      qi - 1,   1 - qi, qi + 1,   -qi - 1,
+                           2 * qi,   -2 * qi,  -1,     0,        1,
+                           kMin32,   kMax32,   kMin32 + 1, kMax32 - 1};
+    for (int i = 0; i < 200; ++i) xs.push_back(static_cast<i64>(rng()));
+    for (i64 x : xs) {
+      EXPECT_EQ(q.from_signed(x), reference(x, q.value()))
+          << "bits=" << bits << " x=" << x;
+      // The unsigned Barrett under it, on the same bit patterns.
+      const u64 u = static_cast<u64>(x);
+      EXPECT_EQ(q.reduce(u), u % q.value()) << "bits=" << bits << " u=" << u;
+    }
   }
 }
 
