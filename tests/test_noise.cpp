@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "ckks/encryptor.hpp"
@@ -18,6 +19,14 @@ struct NoiseCase {
   std::size_t limbs;
   EncryptMode mode;
 };
+
+// Test names carry the printed parameter. Print the fields: the default
+// prints the struct's bytes, uninitialised padding included, so the name
+// changed from run to run.
+void PrintTo(const NoiseCase& c, std::ostream* os) {
+  *os << "LogN" << c.log_n << "Limbs" << c.limbs
+      << (c.mode == EncryptMode::kPublicKey ? "PublicKey" : "Symmetric");
+}
 
 class NoiseBoundTest : public ::testing::TestWithParam<NoiseCase> {};
 
