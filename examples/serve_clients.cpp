@@ -1,10 +1,10 @@
 // Serving daemon demo: one engine::Server, four concurrent ClientSession
 // tenants. Each client registers its own key bundle over the loopback
 // transport, then drives the PR 5 retrying round-trip facade against the
-// daemon — uploads fan across the per-core run queues (with work
-// stealing), responses come back as "ABCB" download envelopes, and every
-// slot is verified against the sent messages. A rotate request per client
-// checks the compute path too.
+// daemon — uploads go through the daemon's shared request queue to
+// whichever worker is free, responses come back as "ABCB" download
+// envelopes, and every slot is verified against the sent messages. A
+// rotate request per client checks the compute path too.
 //
 // After the clients finish, the demo scrapes the daemon's metrics the way
 // an operator would: an Op::kStats admin request over a Unix-domain
@@ -148,11 +148,10 @@ int main(int argc, char** argv) {
   for (auto& t : clients) t.join();
 
   const server::ServerStats stats = daemon.stats();
-  std::printf("\ndaemon: %llu accepted, %llu processed, %llu stolen "
-              "across %zu workers\n",
+  std::printf("\ndaemon: %llu accepted, %llu processed across %zu "
+              "workers\n",
               static_cast<unsigned long long>(stats.accepted),
               static_cast<unsigned long long>(stats.processed),
-              static_cast<unsigned long long>(stats.steals),
               stats.per_worker_processed.size());
   // Operator-style observability: scrape Op::kStats over a Unix-domain
   // socket — the exact path a monitoring agent would use against a

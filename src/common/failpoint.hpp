@@ -137,18 +137,17 @@ inline constexpr const char* kAll[] = {
 // Serving-daemon points. Kept in their own array because kAll is the
 // *client round-trip* catalog (the fault matrix proves every kAll entry
 // sits on the ClientSession path); these sit on the server's
-// accept/dispatch/migrate/evaluate paths instead and are driven by
+// accept/queue-full/dispatch/evaluate paths instead and are driven by
 // tests/test_server.cpp's fault drills.
 inline constexpr const char* kServerAccept = "server.accept";
 inline constexpr const char* kServerQueueFull = "server.queue_full";
 inline constexpr const char* kServerDispatch = "server.dispatch";
-inline constexpr const char* kServerMigrate = "server.migrate";
 inline constexpr const char* kServerKeyRegen = "server.key_regen";
 inline constexpr const char* kEvaluateItem = "engine.evaluate_item";
 
 inline constexpr const char* kServerAll[] = {
-    kServerAccept, kServerQueueFull, kServerDispatch,
-    kServerMigrate, kServerKeyRegen, kEvaluateItem,
+    kServerAccept,   kServerQueueFull, kServerDispatch,
+    kServerKeyRegen, kEvaluateItem,
 };
 }  // namespace points
 

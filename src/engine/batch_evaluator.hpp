@@ -11,14 +11,13 @@
 /// Evaluation consumes no PRNG stream, so determinism is purely the
 /// partitioning contract: per-item work is independent, results land in
 /// input order, and the output bytes are identical for any backend, any
-/// worker count — and, one level up, any serving-daemon steal schedule
-/// (the soak tests assert daemon responses byte-identical to this engine
-/// run serially).
+/// worker count — and, one level up, whichever serving-daemon worker
+/// picks a request up (the soak tests assert daemon responses
+/// byte-identical to this engine run serially).
 ///
-/// On a serving daemon each per-core worker owns its own BatchEvaluator
-/// over a scalar-backend context, so requests parallelize across cores
-/// while each request stays on its core — the per-core session scheduling
-/// the ROADMAP's server item calls for.
+/// On a serving daemon each worker thread owns its own BatchEvaluator over
+/// a scalar-backend context, so requests parallelize across workers while
+/// each request stays on the one thread that dequeued it.
 
 #include <memory>
 #include <span>

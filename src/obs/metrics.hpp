@@ -9,7 +9,7 @@
 /// Three metric kinds, all identified by flat dotted names from the
 /// catalog below:
 ///
-///  * **Counter** — monotonic u64 (requests admitted, bytes out, steals);
+///  * **Counter** — monotonic u64 (requests admitted, bytes out);
 ///  * **Gauge** — signed instantaneous value maintained by +/- deltas
 ///    (queue depth, resident tenants). Deltas instead of set() keep
 ///    gauges shardable: the true value is the sum of every thread's
@@ -166,7 +166,6 @@ inline constexpr const char* kServerRejectedQueueFull =
 inline constexpr const char* kServerRejectedShuttingDown =
     "server.rejected_shutting_down";
 inline constexpr const char* kServerProcessed = "server.processed";
-inline constexpr const char* kServerSteals = "server.steals";
 inline constexpr const char* kServerDrained = "server.drained";
 inline constexpr const char* kServerSlowRequests = "server.slow_requests";
 inline constexpr const char* kServerQueueDepth = "server.queue_depth";
@@ -213,7 +212,6 @@ inline constexpr Entry kAll[] = {
     {kServerRejectedQueueFull, Kind::kCounter},
     {kServerRejectedShuttingDown, Kind::kCounter},
     {kServerProcessed, Kind::kCounter},
-    {kServerSteals, Kind::kCounter},
     {kServerDrained, Kind::kCounter},
     {kServerSlowRequests, Kind::kCounter},
     {kServerQueueDepth, Kind::kGauge},
@@ -261,8 +259,8 @@ class Counter {
   void inc(u64 n = 1) noexcept;
 
   /// This instance's total across all shards (not other instances of the
-  /// same name — the per-instance forwarder semantics ContextCache,
-  /// RunQueue and Server::stats() rely on).
+  /// same name — the per-instance forwarder semantics ContextCache and
+  /// Server::stats() rely on).
   u64 value() const noexcept;
 
  private:

@@ -1,8 +1,5 @@
 #include "server/server.hpp"
 
-#include <bit>
-#include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <limits>
 #include <string>
@@ -41,7 +38,7 @@ const char* status_name(Status s) noexcept {
 }
 
 /// A queued request: the frame plus the promise its future hangs off.
-/// Heap-allocated so the ring moves one pointer; exactly one of execute()
+/// Heap-allocated so the queue moves one pointer; exactly one of execute()
 /// or stop()'s drain fulfills-and-deletes it.
 struct Server::Pending {
   ckks::RequestFrame request;
@@ -65,24 +62,12 @@ struct Server::WorkerState {
   }
 };
 
-/// Parking-lot for an idle worker. The queues stay lock-free; this pair
-/// only gates *blocking*, and the short wait_for turns missed wakeups into
-/// bounded latency rather than lost work.
-struct Server::WorkerSignal {
-  std::mutex m;
-  std::condition_variable cv;
-};
-
 Server::Server(ServerConfig config) : config_(std::move(config)) {
   ABC_CHECK_ARG(config_.workers >= 1, "server needs at least one worker");
   ABC_CHECK_ARG(config_.queue_capacity >= 1,
-                "run-queue capacity must be nonzero");
-  ABC_CHECK_ARG(config_.pin_dispatch_to <
-                    static_cast<int>(config_.workers),
-                "pin_dispatch_to must name an existing worker");
+                "request-queue capacity must be nonzero");
   ABC_CHECK_ARG(config_.trace_ring_capacity >= 1,
                 "trace ring needs at least one slot");
-  config_.queue_capacity = std::bit_ceil(config_.queue_capacity);
 
   per_worker_processed_.reset(new std::atomic<u64>[config_.workers]);
   for (std::size_t w = 0; w < config_.workers; ++w) {
@@ -90,14 +75,9 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   }
   traces_ = std::make_unique<obs::TraceRing>(config_.trace_ring_capacity,
                                              config_.slow_request_ns);
-  queues_.reserve(config_.workers);
   worker_states_.reserve(config_.workers);
-  signals_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
-    queues_.push_back(
-        std::make_unique<RunQueue<Pending*>>(config_.queue_capacity));
     worker_states_.push_back(std::make_unique<WorkerState>());
-    signals_.push_back(std::make_unique<WorkerSignal>());
   }
   workers_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
@@ -109,26 +89,25 @@ Server::~Server() { stop(); }
 
 void Server::stop() {
   {
-    std::unique_lock<std::shared_mutex> lock(lifecycle_m_);
+    std::lock_guard<std::mutex> lock(queue_m_);
     if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
   }
-  for (auto& sig : signals_) sig->cv.notify_all();
+  queue_cv_.notify_all();
   for (auto& t : workers_) {
     if (t.joinable()) t.join();
   }
-  // Workers are gone and lifecycle_m_ bars new enqueues: whatever is still
-  // queued resolves typed, never hangs.
-  for (auto& q : queues_) {
-    Pending* p = nullptr;
-    while (q->pop(p)) {
-      queue_depth_.sub(1);
-      drained_.inc();
-      p->promise.set_value(error_response(p->request.request_id,
-                                          Status::kShuttingDown,
-                                          "server stopped before dispatch"));
-      delete p;
-    }
+  // Workers are gone and submit() sees stopping_ under queue_m_, so nothing
+  // is enqueued any more: whatever is still queued resolves typed, never
+  // hangs.
+  for (Pending* p : queue_) {
+    queue_depth_.sub(1);
+    drained_.inc();
+    p->promise.set_value(error_response(p->request.request_id,
+                                        Status::kShuttingDown,
+                                        "server stopped before dispatch"));
+    delete p;
   }
+  queue_.clear();
 }
 
 u64 Server::register_tenant(const ckks::CkksParams& params,
@@ -151,8 +130,8 @@ std::future<ckks::ResponseFrame> Server::submit(ckks::RequestFrame request) {
 
   // Admission, in order: liveness, accept fault drill, payload bound,
   // queue depth. All of it runs before any payload-sized allocation or
-  // enqueue — a rejected request costs the rejecter O(1).
-  std::shared_lock<std::shared_mutex> lifecycle(lifecycle_m_);
+  // enqueue — a rejected request costs the rejecter O(1). This first
+  // liveness read takes no lock; the push below checks again under it.
   if (stopping_.load(std::memory_order_acquire)) {
     rejected_shutting_down_.inc();
     return reject(Status::kShuttingDown, "server is shutting down");
@@ -169,92 +148,69 @@ std::future<ckks::ResponseFrame> Server::submit(ckks::RequestFrame request) {
   }
 
   // Admission passed: stamp the trace before the enqueue — a worker may
-  // dequeue the pending the instant push() returns.
+  // dequeue the pending the instant the lock is released.
   pending->trace.request_id = request_id;
   pending->trace.tenant = pending->request.tenant;
   pending->trace.op = pending->request.op;
   pending->trace.admit_ns = obs::now_ns();
 
-  // Dispatch: pinned (test knob) targets exactly one queue; round-robin
-  // starts at the cursor and tries each queue once, so one backed-up
-  // worker does not reject while siblings have room.
-  bool enqueued = false;
-  std::size_t target = 0;
-  if (config_.pin_dispatch_to >= 0) {
-    target = static_cast<std::size_t>(config_.pin_dispatch_to);
-    enqueued = queues_[target]->push(pending.get());
-  } else {
-    const u64 start = rr_next_.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-      target = static_cast<std::size_t>((start + i) % queues_.size());
-      if (queues_[target]->push(pending.get())) {
-        enqueued = true;
-        break;
-      }
+  Status admitted = Status::kOk;
+  {
+    std::lock_guard<std::mutex> lock(queue_m_);
+    if (stopping_.load(std::memory_order_acquire)) {
+      admitted = Status::kShuttingDown;
+    } else if (queue_.size() >= config_.queue_capacity) {
+      admitted = Status::kQueueFull;
+    } else {
+      queue_.push_back(pending.get());
+      (void)pending.release();  // the queue owns it now
+      accepted_.inc();
+      queue_depth_.add(1);
     }
   }
 
-  if (!enqueued) {
+  if (admitted == Status::kShuttingDown) {
+    rejected_shutting_down_.inc();
+    return reject(Status::kShuttingDown, "server is shutting down");
+  }
+  if (admitted == Status::kQueueFull) {
     rejected_queue_full_.inc();
     try {
       ABC_FAILPOINT(fail::points::kServerQueueFull);
     } catch (const std::exception& e) {
       return reject(Status::kQueueFull, e.what());
     }
-    return reject(Status::kQueueFull,
-                  "every eligible run queue is at capacity");
+    return reject(Status::kQueueFull, "the request queue is at capacity");
   }
-
-  (void)pending.release();  // the queue owns it now
-  accepted_.inc();
-  queue_depth_.add(1);
-  signals_[target]->cv.notify_one();
-  if (config_.work_stealing) {
-    for (std::size_t w = 0; w < signals_.size(); ++w) {
-      if (w != target) signals_[w]->cv.notify_one();
-    }
-  }
+  queue_cv_.notify_one();
   return future;
 }
 
 void Server::worker_loop(std::size_t worker) {
   WorkerState& state = *worker_states_[worker];
-  WorkerSignal& sig = *signals_[worker];
-  const std::size_t n = queues_.size();
-
   while (true) {
-    // Checked before popping: stop() means queued-but-unprocessed work
-    // resolves kShuttingDown via the drain (the contract stop() documents),
-    // not a slow crawl through the backlog. The in-flight request, if any,
-    // still finishes normally.
-    if (stopping_.load(std::memory_order_acquire)) return;
     Pending* p = nullptr;
-    if (queues_[worker]->pop(p)) {
-      execute(p, state, worker, /*stolen=*/false);
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(queue_m_);
+      queue_cv_.wait(lock, [this] {
+        return stopping_.load(std::memory_order_acquire) || !queue_.empty();
+      });
+      // stop() means queued-but-unprocessed work resolves kShuttingDown via
+      // the drain (the contract stop() documents), not a slow crawl through
+      // the backlog. The in-flight request, if any, still finishes normally.
+      if (stopping_.load(std::memory_order_acquire)) return;
+      p = queue_.front();
+      queue_.pop_front();
     }
-    if (config_.work_stealing && n > 1) {
-      bool stole = false;
-      for (std::size_t off = 1; off < n && !stole; ++off) {
-        if (queues_[(worker + off) % n]->steal(p)) {
-          execute(p, state, worker, /*stolen=*/true);
-          stole = true;
-        }
-      }
-      if (stole) continue;
-    }
-    if (stopping_.load(std::memory_order_acquire)) return;
-    std::unique_lock<std::mutex> lock(sig.m);
-    sig.cv.wait_for(lock, std::chrono::microseconds(200));
+    execute(p, state, worker);
   }
 }
 
-void Server::execute(Pending* pending, WorkerState& state, std::size_t worker,
-                     bool stolen) {
+void Server::execute(Pending* pending, WorkerState& state,
+                     std::size_t worker) {
   ckks::ResponseFrame resp;
   const u64 request_id = pending->request.request_id;
   pending->trace.dequeue_ns = obs::now_ns();
-  pending->trace.stolen = stolen;
   queue_depth_.sub(1);
   queue_wait_ns_.record(pending->trace.queue_wait_ns());
   // Install the trace for the duration of the request so deep layers
@@ -266,7 +222,6 @@ void Server::execute(Pending* pending, WorkerState& state, std::size_t worker,
   // else — invariant breaks, allocation failure, fault injection — is
   // kInternal. Either way the worker survives and the promise resolves.
   try {
-    if (stolen) ABC_FAILPOINT(fail::points::kServerMigrate);
     ABC_FAILPOINT(fail::points::kServerDispatch);
     resp = process(pending->request, state);
   } catch (const InvalidArgument& e) {
@@ -419,7 +374,6 @@ ServerStats Server::stats() const {
     out.per_worker_processed.push_back(
         per_worker_processed_[w].load(std::memory_order_relaxed));
   }
-  for (const auto& q : queues_) out.steals += q->steals();
   return out;
 }
 

@@ -8,40 +8,40 @@
 ///  * a SessionRegistry of tenants and their seed-compressed key records,
 ///  * a byte-bounded KeyCache regenerating expanded key-switch keys on
 ///    demand, shared by every tenant and worker (key_cache.hpp),
-///  * N per-core worker threads, each draining its own bounded SPSC
-///    RunQueue, with cross-core work stealing when a sibling backs up,
+///  * N worker threads draining one bounded FIFO request queue they all
+///    share (a deque behind one mutex and condition variable),
 ///  * admission control that bounds queue depth and per-request bytes
 ///    *before* any buffer is reserved (the PR 5/PR 7 envelope-hardening
 ///    philosophy applied to the daemon's front door).
 ///
 /// Request lifecycle (docs/ARCHITECTURE.md has the full diagram):
 ///
-///   submit(frame) ── admission ──> RunQueue[w] ──> worker w (or a
-///   stealing sibling) ──> process: registry lookup -> deserialize "ABCB"
-///   -> BatchEvaluator op -> reserialize ──> promise -> future
+///   submit(frame) ── admission ──> shared queue ──> next idle worker ──>
+///   process: registry lookup -> deserialize "ABCB" -> BatchEvaluator op
+///   -> reserialize ──> promise -> future
 ///
 /// Every failure is a *typed response*, never a hang or a crashed worker:
 /// admission rejections (kQueueFull, kTooLarge) answer immediately
 /// without enqueueing; execution faults map exception -> status
 /// (InvalidArgument -> kBadRequest, anything else -> kInternal) per
 /// request. Failpoints server.accept / server.queue_full /
-/// server.dispatch / server.migrate sit on those paths so the fault
-/// drills can prove it.
+/// server.dispatch sit on those paths so the fault drills can prove it.
 ///
 /// Determinism: request processing consumes no PRNG stream and each
 /// request is self-contained, so a response's bytes depend only on the
 /// request and the tenant's registered keys — independent of worker
-/// count, dispatch order, and steal schedule. process_serial() runs the
+/// count and of which worker picks a request up. process_serial() runs the
 /// exact worker code path on the calling thread; the soak tests assert
 /// daemon responses byte-identical to it.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -50,7 +50,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "server/key_cache.hpp"
-#include "server/run_queue.hpp"
 #include "server/session_registry.hpp"
 
 namespace abc::server {
@@ -77,7 +76,7 @@ enum class Status : u8 {
   kUnknownTenant = 2,  // tenant id not registered
   kUnknownOp = 3,      // op byte outside the enum
   kTooLarge = 4,       // payload exceeds max_request_bytes (admission)
-  kQueueFull = 5,      // every run queue full (admission backpressure)
+  kQueueFull = 5,      // request queue full (admission backpressure)
   kInternal = 6,       // invariant/allocation/foreign exception
   kShuttingDown = 7,   // submitted or still queued at stop()
 };
@@ -85,14 +84,12 @@ enum class Status : u8 {
 const char* status_name(Status s) noexcept;
 
 struct ServerConfig {
-  /// Per-core worker threads (>= 1).
+  /// Worker threads (>= 1).
   std::size_t workers = 1;
-  /// Per-worker run-queue capacity; rounded up to a power of two.
+  /// Bound on queued-but-undispatched requests, across all workers.
   std::size_t queue_capacity = 64;
   /// Admission bound on RequestFrame::payload bytes.
   std::size_t max_request_bytes = 64u << 20;
-  /// Allow idle workers to drain a backed-up sibling's queue.
-  bool work_stealing = true;
   /// Packed residue width of response envelopes.
   int bits_per_coeff = 44;
   /// Byte budget of the shared expanded-key cache (all tenants, all
@@ -106,10 +103,6 @@ struct ServerConfig {
   /// explicitly because an "ABCK" blob alone cannot reconstruct a full
   /// parameter set — a real deployment pins what it serves.
   std::vector<ckks::CkksParams> param_sets;
-  /// Test knob: route every request to this queue (-1 = round-robin).
-  /// Lets tests fill one queue deterministically (backpressure) or force
-  /// cross-core migration (an idle sibling must steal to make progress).
-  int pin_dispatch_to = -1;
   /// Completed traces retained for the Op::kStats scrape (recent ring and
   /// slow ring each hold this many).
   std::size_t trace_ring_capacity = 256;
@@ -123,11 +116,11 @@ struct ServerConfig {
 /// gives the aggregated process view). Under ABC_NO_METRICS every counter
 /// here reads 0 — observability is what the flag compiles out.
 struct ServerStats {
-  u64 accepted = 0;            // enqueued to some run queue
+  u64 accepted = 0;            // enqueued to the request queue
   u64 rejected_too_large = 0;  // admission: payload bound
-  u64 rejected_queue_full = 0; // admission: every eligible queue full
+  u64 rejected_queue_full = 0; // admission: queue at capacity
   u64 processed = 0;           // responses produced by workers
-  u64 steals = 0;              // requests drained via migration
+  u64 steals = 0;              // always 0; kept for perfbench's reader
   u64 drained = 0;             // queued requests resolved by stop()
   u64 slow_requests = 0;       // end-to-end time >= slow_request_ns
   std::vector<u64> per_worker_processed;
@@ -205,8 +198,7 @@ class Server {
   struct WorkerState;  // per-worker BatchEvaluator cache
 
   void worker_loop(std::size_t worker);
-  void execute(Pending* pending, WorkerState& state, std::size_t worker,
-               bool stolen);
+  void execute(Pending* pending, WorkerState& state, std::size_t worker);
   ckks::ResponseFrame process(const ckks::RequestFrame& request,
                               WorkerState& state);
   ckks::ResponseFrame evaluate(const ckks::RequestFrame& request,
@@ -219,22 +211,13 @@ class Server {
   SessionRegistry registry_;
   KeyCache key_cache_{config_.key_cache_bytes};
 
-  std::vector<std::unique_ptr<RunQueue<Pending*>>> queues_;
-  std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<WorkerState>> worker_states_;
-
-  // Sleep/wake plumbing: the queues stay lock-free; these only gate
-  // blocking when a worker finds every queue empty.
-  struct WorkerSignal;
-  std::vector<std::unique_ptr<WorkerSignal>> signals_;
-
-  // submit() holds this shared around its stopping-check + enqueue; stop()
-  // holds it exclusive while flipping stopping_. Without it a submit that
-  // passed the check could enqueue *after* stop() drained the queues and
-  // its future would never resolve.
-  mutable std::shared_mutex lifecycle_m_;
+  // The request queue every worker drains. submit() checks stopping_ and
+  // pushes under queue_m_, and stop() flips stopping_ under it, so no
+  // request can be enqueued after stop() has drained the queue.
+  std::mutex queue_m_;
+  std::condition_variable queue_cv_;
+  std::deque<Pending*> queue_;
   std::atomic<bool> stopping_{false};
-  std::atomic<u64> rr_next_{0};  // round-robin dispatch cursor
 
   // Per-server metric instances on the global registry: inc/record is one
   // relaxed atomic add on the calling thread's shard (no stats mutex on
@@ -264,6 +247,13 @@ class Server {
   // per_worker_processed stays exact even under ABC_NO_METRICS.
   std::unique_ptr<std::atomic<u64>[]> per_worker_processed_;
   std::unique_ptr<obs::TraceRing> traces_;
+
+  // Freed here after the join, not by each worker thread as it exits: the
+  // thread-exit variant measured ~11 MiB more peak RSS on perfbench's
+  // serve_regen, which rebuilds the server several times.
+  std::vector<std::unique_ptr<WorkerState>> worker_states_;
+  // Declared last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace abc::server

@@ -17,7 +17,7 @@ std::shared_ptr<const ckks::CkksContext> ContextCache::get_or_create(
   }
   misses_.inc();
   // Scalar backend on purpose (see the header): request-level parallelism
-  // belongs to the daemon's per-core workers.
+  // belongs to the daemon's worker threads.
   auto ctx = ckks::CkksContext::create(params);
   entries_.emplace_back(params, ctx);
   return ctx;

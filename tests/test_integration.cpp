@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
 #include <random>
 
 #include "ckks/decryptor.hpp"
@@ -37,6 +38,15 @@ struct SessionCase {
   std::size_t limbs;
   ckks::EncryptMode mode;
 };
+
+// Test names carry the printed parameter. Print the fields: the default
+// prints the struct's bytes, uninitialised padding included, so the name
+// changed from build to build.
+void PrintTo(const SessionCase& c, std::ostream* os) {
+  *os << "LogN" << c.log_n << "Limbs" << c.limbs
+      << (c.mode == ckks::EncryptMode::kPublicKey ? "PublicKey"
+                                                  : "SymmetricSeeded");
+}
 
 class ClientSessionTest : public ::testing::TestWithParam<SessionCase> {};
 

@@ -1,8 +1,9 @@
 // The serving-daemon battery: multi-threaded soak (responses bit-identical
-// to serial execution at every worker count), work-stealing determinism,
-// backpressure/overload with typed rejections, warm-context cache keying,
-// failpoint-driven fault drills on accept/dispatch/migrate/evaluate, and
-// the Unix-domain-socket transport end to end.
+// to serial execution at every worker count), the shared request queue
+// feeding every worker, backpressure/overload with typed rejections,
+// warm-context cache keying, failpoint-driven fault drills on
+// accept/queue-full/dispatch/evaluate, and the Unix-domain-socket
+// transport end to end.
 
 #include <gtest/gtest.h>
 
@@ -116,57 +117,53 @@ TEST_F(ServerTest, SoakResponsesBitIdenticalToSerialAtEveryWorkerCount) {
 
   std::vector<std::vector<u8>> reference;  // payloads from the first config
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const bool stealing : {false, true}) {
-      SCOPED_TRACE("workers " + std::to_string(workers) + " stealing " +
-                   std::to_string(stealing));
-      ServerConfig cfg;
-      cfg.workers = workers;
-      cfg.work_stealing = stealing;
-      cfg.param_sets = {params};
-      Server srv(cfg);
-      // Fresh server, first tenant: id 1, matching the prepared frames.
-      ASSERT_EQ(srv.register_tenant(params, frames), 1u);
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServerConfig cfg;
+    cfg.workers = workers;
+    cfg.param_sets = {params};
+    Server srv(cfg);
+    // Fresh server, first tenant: id 1, matching the prepared frames.
+    ASSERT_EQ(srv.register_tenant(params, frames), 1u);
 
-      // N concurrent synthetic clients submit the mix in parallel.
-      std::vector<std::future<ckks::ResponseFrame>> futures(kRequests);
-      {
-        std::vector<std::thread> clients;
-        for (int c = 0; c < 3; ++c) {
-          clients.emplace_back([&, c] {
-            for (std::size_t i = static_cast<std::size_t>(c); i < kRequests;
-                 i += 3) {
-              futures[i] = srv.submit(requests[i]);
-            }
-          });
-        }
-        for (auto& t : clients) t.join();
+    // N concurrent synthetic clients submit the mix in parallel.
+    std::vector<std::future<ckks::ResponseFrame>> futures(kRequests);
+    {
+      std::vector<std::thread> clients;
+      for (int c = 0; c < 3; ++c) {
+        clients.emplace_back([&, c] {
+          for (std::size_t i = static_cast<std::size_t>(c); i < kRequests;
+               i += 3) {
+            futures[i] = srv.submit(requests[i]);
+          }
+        });
       }
+      for (auto& t : clients) t.join();
+    }
 
-      for (std::size_t i = 0; i < kRequests; ++i) {
-        const ckks::ResponseFrame resp = futures[i].get();
-        ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
-        EXPECT_EQ(resp.request_id, requests[i].request_id);
-        // Bit-identical to the serial reference on this server...
-        const ckks::ResponseFrame serial = srv.process_serial(requests[i]);
-        ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
-        EXPECT_EQ(resp.payload, serial.payload) << "request " << i;
-        // ...and to every other worker count / steal schedule.
-        if (reference.size() <= i) {
-          reference.push_back(resp.payload);
-        } else {
-          EXPECT_EQ(resp.payload, reference[i]) << "request " << i;
-        }
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const ckks::ResponseFrame resp = futures[i].get();
+      ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
+      EXPECT_EQ(resp.request_id, requests[i].request_id);
+      // Bit-identical to the serial reference on this server...
+      const ckks::ResponseFrame serial = srv.process_serial(requests[i]);
+      ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
+      EXPECT_EQ(resp.payload, serial.payload) << "request " << i;
+      // ...and to every other worker count.
+      if (reference.size() <= i) {
+        reference.push_back(resp.payload);
+      } else {
+        EXPECT_EQ(resp.payload, reference[i]) << "request " << i;
       }
-      const server::ServerStats stats = srv.stats();
-      if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-        EXPECT_EQ(stats.accepted, kRequests);
-        EXPECT_EQ(stats.processed, kRequests);
-      }
+    }
+    const server::ServerStats stats = srv.stats();
+    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
+      EXPECT_EQ(stats.accepted, kRequests);
+      EXPECT_EQ(stats.processed, kRequests);
     }
   }
 }
 
-TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
+TEST_F(ServerTest, SharedQueueFeedsEveryWorkerWithoutChangingBytes) {
   const ckks::CkksParams params = small_params();
   Client client(params);
   const ckks::KeyBundleFrames frames = frames_of(client.session.key_bundle());
@@ -174,14 +171,12 @@ TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
 
   ServerConfig cfg;
   cfg.workers = 2;
-  cfg.pin_dispatch_to = 0;  // everything lands on worker 0's queue...
-  cfg.queue_capacity = 64;
   cfg.param_sets = {params};
   Server srv(cfg);
   const u64 tenant = srv.register_tenant(params, frames);
 
-  // ...and a per-dispatch delay keeps worker 0 busy long enough that
-  // worker 1 must steal to make progress.
+  // A per-dispatch delay keeps whichever worker dequeues first busy, so
+  // the rest of the burst must reach the other worker through the queue.
   fail::Policy slow;
   slow.action = fail::Action::kDelay;
   slow.delay_us = 1000;
@@ -193,12 +188,14 @@ TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
       srv.process_serial(make_request(tenant, 1, Op::kEcho, 0, upload));
   ASSERT_EQ(status_of(serial), Status::kOk) << serial.error;
 
-  // Bounded retry so no scheduler pathology can flake the assertion. The
-  // steal counter reads 0 under ABC_NO_METRICS, so that build runs one
-  // byte-identity round without the counter-driven loop.
-  u64 steals = 0;
-  const int rounds = obs::kMetricsEnabled ? 20 : 1;
-  for (int round = 0; round < rounds && steals == 0; ++round) {
+  // Bounded retry so no scheduler pathology can flake the assertion.
+  // per_worker_processed is a plain atomic array, exact in every build.
+  auto idle_worker = [&] {
+    const server::ServerStats stats = srv.stats();
+    return std::min(stats.per_worker_processed[0],
+                    stats.per_worker_processed[1]) == 0;
+  };
+  for (int round = 0; round < 20 && idle_worker(); ++round) {
     std::vector<std::future<ckks::ResponseFrame>> futures;
     for (u64 i = 0; i < 8; ++i) {
       futures.push_back(
@@ -207,12 +204,14 @@ TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
     for (auto& f : futures) {
       const ckks::ResponseFrame resp = f.get();
       ASSERT_EQ(status_of(resp), Status::kOk) << resp.error;
-      // Stolen or not, the bytes are the bytes.
+      // Whichever worker ran it, the bytes are the bytes.
       EXPECT_EQ(resp.payload, serial.payload);
     }
-    steals = srv.stats().steals;
   }
-  if (obs::kMetricsEnabled) EXPECT_GT(steals, 0u);
+  const server::ServerStats stats = srv.stats();
+  ASSERT_EQ(stats.per_worker_processed.size(), 2u);
+  EXPECT_GT(stats.per_worker_processed[0], 0u);
+  EXPECT_GT(stats.per_worker_processed[1], 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,66 +219,71 @@ TEST_F(ServerTest, WorkStealingMigratesRequestsWithoutChangingBytes) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ServerTest, OverloadFloodRejectsTypedImmediatelyAndRecovers) {
-  ServerConfig cfg;
-  cfg.workers = 1;
-  cfg.queue_capacity = 4;
-  cfg.work_stealing = false;
-  Server srv(cfg);
+  // queue_capacity bounds the one queue all workers share, so at any
+  // worker count the flood gets at most the capacity queued plus one
+  // request in flight per worker.
+  for (const std::size_t workers : {1u, 2u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServerConfig cfg;
+    cfg.workers = workers;
+    cfg.queue_capacity = 4;
+    Server srv(cfg);
 
-  // Slow the lone worker so the flood outruns it: ~20 ms per dispatch
-  // against a burst of 64 sub-millisecond submits.
-  fail::Policy slow;
-  slow.action = fail::Action::kDelay;
-  slow.delay_us = 20000;
-  fail::arm(fail::points::kServerDispatch, slow);
+    // Slow the workers so the flood outruns them: ~20 ms per dispatch
+    // against a burst of 64 sub-millisecond submits.
+    fail::Policy slow;
+    slow.action = fail::Action::kDelay;
+    slow.delay_us = 20000;
+    fail::arm(fail::points::kServerDispatch, slow);
 
-  constexpr std::size_t kFlood = 64;
-  std::vector<std::future<ckks::ResponseFrame>> futures;
-  std::size_t immediate = 0;
-  for (std::size_t i = 0; i < kFlood; ++i) {
-    futures.push_back(srv.submit(make_request(9, i, static_cast<Op>(42), 0,
-                                              {/*empty payload*/})));
-    // A rejected request's future is ready before submit() returns —
-    // admission never blocks the flooder on the flooded queue.
-    if (futures.back().wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      ++immediate;
+    constexpr std::size_t kFlood = 64;
+    std::vector<std::future<ckks::ResponseFrame>> futures;
+    std::size_t immediate = 0;
+    for (std::size_t i = 0; i < kFlood; ++i) {
+      futures.push_back(srv.submit(make_request(9, i, static_cast<Op>(42), 0,
+                                                {/*empty payload*/})));
+      // A rejected request's future is ready before submit() returns —
+      // admission never blocks the flooder on the flooded queue.
+      if (futures.back().wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready) {
+        ++immediate;
+      }
     }
-  }
 
-  std::size_t queue_full = 0;
-  for (auto& f : futures) {
-    const ckks::ResponseFrame resp = f.get();
-    const Status s = status_of(resp);
-    // Clean typed outcome for every request: processed (this op byte is
-    // unknown, so kUnknownOp) or rejected at admission.
-    ASSERT_TRUE(s == Status::kQueueFull || s == Status::kUnknownOp)
-        << static_cast<int>(resp.status);
-    if (s == Status::kQueueFull) {
-      ++queue_full;
-      EXPECT_FALSE(resp.error.empty());
+    std::size_t queue_full = 0;
+    for (auto& f : futures) {
+      const ckks::ResponseFrame resp = f.get();
+      const Status s = status_of(resp);
+      // Clean typed outcome for every request: processed (this op byte is
+      // unknown, so kUnknownOp) or rejected at admission.
+      ASSERT_TRUE(s == Status::kQueueFull || s == Status::kUnknownOp)
+          << static_cast<int>(resp.status);
+      if (s == Status::kQueueFull) {
+        ++queue_full;
+        EXPECT_FALSE(resp.error.empty());
+      }
     }
-  }
-  EXPECT_GT(queue_full, 0u);
-  EXPECT_GE(immediate, queue_full);  // every rejection was instant
-  const server::ServerStats stats = srv.stats();
-  if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-    EXPECT_EQ(stats.rejected_queue_full, queue_full);
-    EXPECT_EQ(stats.accepted + stats.rejected_queue_full, kFlood);
-  }
+    EXPECT_GT(queue_full, 0u);
+    EXPECT_GE(immediate, queue_full);  // every rejection was instant
+    EXPECT_LE(kFlood - queue_full, cfg.queue_capacity + workers);
+    const server::ServerStats stats = srv.stats();
+    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
+      EXPECT_EQ(stats.rejected_queue_full, queue_full);
+      EXPECT_EQ(stats.accepted + stats.rejected_queue_full, kFlood);
+    }
 
-  // Recovery: with the delay gone the same server drains normally.
-  fail::disarm_all();
-  const ckks::ResponseFrame after =
-      srv.call(make_request(9, 999, static_cast<Op>(42), 0, {}));
-  EXPECT_EQ(status_of(after), Status::kUnknownOp);
+    // Recovery: with the delay gone the same server drains normally.
+    fail::disarm_all();
+    const ckks::ResponseFrame after =
+        srv.call(make_request(9, 999, static_cast<Op>(42), 0, {}));
+    EXPECT_EQ(status_of(after), Status::kUnknownOp);
+  }
 }
 
 TEST_F(ServerTest, QueueFullFailpointCoversTheRejectionPath) {
   ServerConfig cfg;
   cfg.workers = 1;
   cfg.queue_capacity = 2;
-  cfg.work_stealing = false;
   Server srv(cfg);
 
   fail::Policy slow;
@@ -523,57 +527,6 @@ TEST_F(ServerTest, EvaluateItemFaultIsTypedAndLeavesNoResidue) {
   const ckks::ResponseFrame after = srv.call(request);
   ASSERT_EQ(status_of(after), Status::kOk) << after.error;
   EXPECT_EQ(after.payload, serial.payload);
-}
-
-TEST_F(ServerTest, MigrateFaultFailsStolenRequestsTyped) {
-  const ckks::CkksParams params = small_params();
-  Client client(params);
-  ServerConfig cfg;
-  cfg.workers = 2;
-  cfg.pin_dispatch_to = 0;
-  cfg.queue_capacity = 64;
-  cfg.param_sets = {params};
-  Server srv(cfg);
-  const u64 tenant =
-      srv.register_tenant(params, frames_of(client.session.key_bundle()));
-  const auto msgs = random_batch(2, client.ctx->slots(), 17);
-  const std::vector<u8> upload =
-      client.session.upload(msgs, client.eval_limbs());
-
-  fail::Policy slow;
-  slow.action = fail::Action::kDelay;
-  slow.delay_us = 1000;
-  fail::arm(fail::points::kServerDispatch, slow);
-  fail::Policy boom;
-  boom.action = fail::Action::kThrowRuntimeError;
-  fail::arm(fail::points::kServerMigrate, boom);
-
-  for (int round = 0;
-       round < 20 && fail::fires(fail::points::kServerMigrate) == 0;
-       ++round) {
-    std::vector<std::future<ckks::ResponseFrame>> futures;
-    for (u64 i = 0; i < 8; ++i) {
-      futures.push_back(
-          srv.submit(make_request(tenant, i, Op::kEcho, 0, upload)));
-    }
-    for (auto& f : futures) {
-      const ckks::ResponseFrame resp = f.get();
-      // A stolen request absorbs the injected fault as kInternal; the
-      // rest succeed. Nothing hangs, no worker dies.
-      ASSERT_TRUE(status_of(resp) == Status::kOk ||
-                  status_of(resp) == Status::kInternal)
-          << static_cast<int>(resp.status);
-      if (status_of(resp) == Status::kInternal) {
-        EXPECT_NE(resp.error.find(fail::points::kServerMigrate),
-                  std::string::npos);
-      }
-    }
-  }
-  EXPECT_GT(fail::fires(fail::points::kServerMigrate), 0u);
-
-  fail::disarm_all();
-  EXPECT_EQ(status_of(srv.call(make_request(tenant, 99, Op::kEcho, 0, upload))),
-            Status::kOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ COUNTERS = [
     "server.rejected_queue_full",
     "server.rejected_shutting_down",
     "server.processed",
-    "server.steals",
     "server.drained",
     "server.slow_requests",
     "session.context_cache_hits",
