@@ -20,7 +20,6 @@
 
 #include "bench_util.hpp"
 #include "ckks/evaluator.hpp"
-#include "engine/batch_evaluator.hpp"
 #include "engine/client_session.hpp"
 #include "server/key_cache.hpp"
 
@@ -41,6 +40,16 @@ std::vector<std::vector<std::complex<double>>> random_batch(
     for (auto& z : m) z = {dist(rng), dist(rng)};
   }
   return msgs;
+}
+
+/// One rotate request's evaluation: every item switched on the same key.
+void rotate_each(const abc::ckks::Evaluator& eval,
+                 const std::vector<abc::ckks::Ciphertext>& cts,
+                 const abc::ckks::KeySwitchKey& key,
+                 abc::ckks::KeySwitchScratch& scratch) {
+  for (const abc::ckks::Ciphertext& ct : cts) {
+    (void)eval.rotate(ct, key, &scratch);
+  }
 }
 
 }  // namespace
@@ -123,13 +132,14 @@ int main(int argc, char** argv) {
   const std::vector<u8> upload =
       client.upload(msgs, client_ctx->max_limbs() - 1);
   const auto cts = abc::ckks::deserialize_ciphertext_batch(ctx, upload);
-  abc::engine::BatchEvaluator eval(ctx);
+  const abc::ckks::Evaluator eval(ctx);
+  abc::ckks::KeySwitchScratch scratch;
 
   const abc::ckks::GaloisKeys eager_gks = s0.expand_gks();
   const double eager_s = abc::bench::time_best_of(reps, [&] {
     for (std::size_t i = 0; i < warm_iters; ++i) {
-      (void)eval.rotate_batch(cts, 1 + static_cast<int>(i % kRotations),
-                              eager_gks);
+      const int step = 1 + static_cast<int>(i % kRotations);
+      rotate_each(eval, cts, eager_gks.key_for(step), scratch);
     }
   });
 
@@ -140,8 +150,8 @@ int main(int argc, char** argv) {
   }
   const double warm_s = abc::bench::time_best_of(reps, [&] {
     for (std::size_t i = 0; i < warm_iters; ++i) {
-      (void)eval.rotate_batch(cts, 1 + static_cast<int>(i % kRotations),
-                              warm_src);
+      const int step = 1 + static_cast<int>(i % kRotations);
+      rotate_each(eval, cts, *warm_src.galois_key(step), scratch);
     }
   });
 
@@ -149,8 +159,8 @@ int main(int argc, char** argv) {
   const TenantKeySource thrash_src(thrash_cache, s0);
   const double thrash_s = abc::bench::time_best_of(reps, [&] {
     for (std::size_t i = 0; i < warm_iters; ++i) {
-      (void)eval.rotate_batch(cts, 1 + static_cast<int>(i % kRotations),
-                              thrash_src);
+      const int step = 1 + static_cast<int>(i % kRotations);
+      rotate_each(eval, cts, *thrash_src.galois_key(step), scratch);
     }
   });
 
@@ -193,7 +203,7 @@ int main(int argc, char** argv) {
         for (const auto& session : sessions) {
           const TenantKeySource src(cache, session);
           for (int st = 1; st <= kRotations; ++st) {
-            (void)eval.rotate_batch(ct_one, st, src);
+            rotate_each(eval, ct_one, *src.galois_key(st), scratch);
             ++rotations;
           }
         }

@@ -28,6 +28,7 @@
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
+#include "ckks/key_source.hpp"
 #include "common/table.hpp"
 
 namespace {
@@ -52,6 +53,7 @@ SwitchTimes measure(const ckks::CkksParams& params,
   ckks::Evaluator eval(ctx);
   const ckks::RelinKey rlk = keygen.relin_key(sk);
   const ckks::GaloisKeys gks = keygen.galois_keys(sk, steps);
+  const ckks::EagerKeySource keys(&gks, nullptr);
 
   // Work one level below the top: the last prime is the special modulus.
   const std::size_t level = ctx->max_limbs() - 1;
@@ -63,15 +65,17 @@ SwitchTimes measure(const ckks::CkksParams& params,
   SwitchTimes t;
   t.relin_s = bench::time_best_of(reps, [&] {
     ckks::Ciphertext work = prod;
-    eval.relinearize_inplace(work, rlk, &scratch);
+    eval.relinearize_inplace(work, rlk.key, &scratch);
   });
   t.rotate_s = bench::time_best_of(
-      reps, [&] { (void)eval.rotate(ct, steps[0], gks, &scratch); });
+      reps, [&] { (void)eval.rotate(ct, gks.key_for(steps[0]), &scratch); });
   t.naive_multi_s = bench::time_best_of(reps, [&] {
-    for (const int step : steps) (void)eval.rotate(ct, step, gks, &scratch);
+    for (const int step : steps) {
+      (void)eval.rotate(ct, gks.key_for(step), &scratch);
+    }
   });
   t.hoisted_multi_s = bench::time_best_of(
-      reps, [&] { (void)eval.rotate_many(ct, steps, gks, &scratch); });
+      reps, [&] { (void)eval.rotate_many(ct, steps, keys, &scratch); });
   return t;
 }
 

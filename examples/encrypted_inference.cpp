@@ -97,7 +97,7 @@ int main() {
   ckks::Ciphertext act = eval.mul(y, y);  // 3 components, scale^2
   std::puts("Server: relinearizing the squared activation...");
   ckks::KeySwitchScratch scratch;
-  eval.relinearize_inplace(act, rlk, &scratch);
+  eval.relinearize_inplace(act, rlk.key, &scratch);
   eval.rescale_inplace(act);
 
   // Rotate-and-sum: after log2(slots) doubling rotations every slot holds
@@ -106,7 +106,7 @@ int main() {
               features, tree_steps.size());
   ckks::Ciphertext logit = act;
   for (const int step : tree_steps) {
-    logit = eval.add(logit, eval.rotate(logit, step, gks, &scratch));
+    logit = eval.add(logit, eval.rotate(logit, gks.key_for(step), &scratch));
   }
 
   // Client: decrypt + decode + verify against the cleartext computation.

@@ -1,6 +1,7 @@
 #include "backend/thread_pool_backend.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/failpoint.hpp"
 
@@ -115,7 +116,11 @@ void ThreadPoolBackend::parallel_for(std::size_t count, const Job& job) {
   }
   // Make the caller's analytic accounting identical to a scalar run.
   xf::op_counts() += task->ops;
-  if (task->error) std::rethrow_exception(task->error);
+  // Take the parked exception out of the Task before rethrowing: a worker
+  // may drop the last Task reference at any time, and must not be the one
+  // that frees an exception the caller is still handling.
+  const std::exception_ptr error = std::move(task->error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace abc::backend

@@ -46,54 +46,31 @@ class Evaluator {
   Ciphertext mul(const Ciphertext& a, const Ciphertext& b) const;
 
   /// Switches the s^2 component of a 3-component product back to s:
-  /// (c0 + ks0, c1 + ks1) with (ks0, ks1) = KeySwitch(c2, rlk). Scale and
-  /// level are unchanged; noise grows by the key-switch bound
-  /// (noise.hpp's keyswitch_noise_bound). @p scratch reuses buffers across
-  /// calls (null allocates locally).
-  void relinearize_inplace(Ciphertext& ct, const RelinKey& rlk,
-                           KeySwitchScratch* scratch = nullptr) const;
-
-  /// relinearize_inplace with a pre-resolved key (must be Kind::kRelin).
-  /// This is the single underlying code path: the RelinKey and KeySource
-  /// overloads both land here, which is what makes on-demand-regenerated
-  /// keys bit-identical to eager ones by construction.
+  /// (c0 + ks0, c1 + ks1) with (ks0, ks1) = KeySwitch(c2, rlk). @p rlk
+  /// must be Kind::kRelin — a RelinKey's .key, or a KeySource's pinned
+  /// relin_key(). Scale and level are unchanged; noise grows by the
+  /// key-switch bound (noise.hpp's keyswitch_noise_bound). @p scratch
+  /// reuses buffers across calls (null allocates locally).
   void relinearize_inplace(Ciphertext& ct, const KeySwitchKey& rlk,
                            KeySwitchScratch* scratch = nullptr) const;
 
-  /// relinearize_inplace resolving (and pinning) the key through a
-  /// KeySource for the duration of the switch.
-  void relinearize_inplace(Ciphertext& ct, const KeySource& keys,
-                           KeySwitchScratch* scratch = nullptr) const;
-
-  /// Rotates slots left by @p step (negative steps rotate right) using the
-  /// matching Galois key: both components pass through sigma_g in the
-  /// evaluation domain, and sigma_g(c1) is key-switched back to s.
-  Ciphertext rotate(const Ciphertext& ct, int step, const GaloisKeys& gks,
-                    KeySwitchScratch* scratch = nullptr) const;
-
-  /// rotate with a pre-resolved Galois key (the single underlying code
-  /// path; the step is implied by key.galois_elt).
+  /// Rotates slots left by the step @p key was generated for (its
+  /// galois_elt; negative steps rotate right): both components pass
+  /// through sigma_g in the evaluation domain, and sigma_g(c1) is
+  /// key-switched back to s. @p key is a GaloisKeys::key_for(step) or a
+  /// KeySource's pinned galois_key(step).
   Ciphertext rotate(const Ciphertext& ct, const KeySwitchKey& key,
-                    KeySwitchScratch* scratch = nullptr) const;
-
-  /// rotate resolving (and pinning) the step's key through a KeySource.
-  Ciphertext rotate(const Ciphertext& ct, int step, const KeySource& keys,
                     KeySwitchScratch* scratch = nullptr) const;
 
   /// Rotations by every step in @p steps from one input, decomposing the
   /// input a single time and reusing the evaluation-domain digits across
   /// all steps (hoisted key switching). Bit-identical to calling rotate()
-  /// per step, at a fraction of the NTT work once steps.size() > 1.
-  std::vector<Ciphertext> rotate_many(const Ciphertext& ct,
-                                      std::span<const int> steps,
-                                      const GaloisKeys& gks,
-                                      KeySwitchScratch* scratch = nullptr) const;
-
-  /// rotate_many through a KeySource: the whole step set is validated with
-  /// the cheap has_galois_key probe *before* the hoisted decomposition,
-  /// then keys are pinned one at a time — a caching source never holds
-  /// more than one pinned key for this call no matter how many rotations
-  /// are requested.
+  /// per step, at a fraction of the NTT work once steps.size() > 1. The
+  /// whole step set is validated with the cheap has_galois_key probe
+  /// *before* the decomposition, then keys are pinned one at a time — a
+  /// caching source never holds more than one pinned key for this call no
+  /// matter how many rotations are requested. Eager callers pass
+  /// EagerKeySource(&gks, nullptr).
   std::vector<Ciphertext> rotate_many(const Ciphertext& ct,
                                       std::span<const int> steps,
                                       const KeySource& keys,

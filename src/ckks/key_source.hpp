@@ -5,15 +5,16 @@
 /// material. The eager path (client-side GaloisKeys/RelinKey structs held
 /// fully expanded in memory) and the serving daemon's on-demand path
 /// (seed-compressed records expanded into a bounded shared cache,
-/// src/server/key_cache.hpp) implement the same interface, so every
-/// key-consuming operation has exactly one code path — which is what makes
-/// cached responses bit-identical to eager ones by construction.
+/// src/server/key_cache.hpp) implement the same interface, and both hand
+/// the evaluator the same KeySwitchKey — so every key-consuming operation
+/// has exactly one code path, which is what makes cached responses
+/// bit-identical to eager ones by construction.
 ///
 /// Lookup returns a shared_ptr acting as a *pin*: the key stays valid (and,
 /// for a caching source, ineligible for eviction) for as long as the
 /// handle is held. Eager sources hand out non-owning aliases (the caller
-/// already guarantees the struct outlives the call, as before); the key
-/// cache hands out handles whose destructor unpins the cache entry.
+/// guarantees the struct outlives the call); the key cache hands out
+/// handles whose destructor unpins the cache entry.
 ///
 /// has_galois_key() is the cheap fail-fast probe: it must not regenerate
 /// or pin anything, so rotate_many can validate its whole step set before
@@ -45,10 +46,9 @@ class KeySource {
   virtual bool has_galois_key(int step) const noexcept = 0;
 };
 
-/// KeySource over fully expanded key structs. Non-owning: the referenced
-/// GaloisKeys/RelinKey must outlive every handle this source returns (the
-/// same lifetime contract the evaluator's reference-taking overloads
-/// always had — those overloads are now thin wrappers over this adapter).
+/// KeySource over fully expanded key structs, for callers that hold
+/// GaloisKeys/RelinKey and want Evaluator::rotate_many. Non-owning: the
+/// referenced structs must outlive every handle this source returns.
 class EagerKeySource final : public KeySource {
  public:
   EagerKeySource(const GaloisKeys* gks, const RelinKey* rlk)

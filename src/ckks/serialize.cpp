@@ -27,6 +27,58 @@ constexpr std::size_t kKeyHeaderBits = 208;
 
 enum class KeyKind : u8 { kRelin = 0, kGalois = 1, kPublic = 2 };
 
+// Little-endian byte-aligned writer/reader shared by the framing codecs
+// ("ABCB", "ABCQ", "ABCS", "ABCP"). Every length field is validated against
+// the remaining span before any view or allocation is made from it.
+struct ByteWriter {
+  std::vector<u8> out;
+  void put_u8(u8 v) { out.push_back(v); }
+  void put_u32(u64 v) {
+    ABC_CHECK_ARG((v >> 32) == 0, "frame field exceeds 32 bits");
+    for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
+  }
+  void put_u64(u64 v) {
+    for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
+  }
+  void put_bytes(std::span<const u8> bytes) {
+    put_u32(bytes.size());
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+};
+
+struct ByteReader {
+  std::span<const u8> bytes;
+  std::size_t pos = 0;
+
+  std::size_t remaining() const noexcept { return bytes.size() - pos; }
+  u8 get_u8() {
+    ABC_CHECK_ARG(pos + 1 <= bytes.size(), "frame truncated");
+    return bytes[pos++];
+  }
+  u64 get_u32() {
+    ABC_CHECK_ARG(pos + 4 <= bytes.size(), "frame truncated");
+    u64 v = 0;
+    for (int b = 0; b < 4; ++b) v |= static_cast<u64>(bytes[pos++]) << (8 * b);
+    return v;
+  }
+  u64 get_u64() {
+    ABC_CHECK_ARG(pos + 8 <= bytes.size(), "frame truncated");
+    u64 v = 0;
+    for (int b = 0; b < 8; ++b) v |= static_cast<u64>(bytes[pos++]) << (8 * b);
+    return v;
+  }
+  std::span<const u8> get_bytes() {
+    const u64 length = get_u32();
+    ABC_CHECK_ARG(length <= remaining(), "frame length field overruns the frame");
+    const std::span<const u8> view = bytes.subspan(pos, length);
+    pos += length;
+    return view;
+  }
+  void expect_end() const {
+    ABC_CHECK_ARG(pos == bytes.size(), "trailing bytes after the frame");
+  }
+};
+
 u32 key_header_checksum(int bits_per_coeff, KeyKind kind, bool compressed,
                         std::size_t limbs, int log_n, u32 galois_elt,
                         u64 stream_id) {
@@ -231,18 +283,11 @@ std::vector<u8> serialize_ciphertext_batch(std::span<const Ciphertext> cts,
           frames[i] = serialize_ciphertext(cts[i], bits_per_coeff);
         });
   }
-  std::vector<u8> out;
-  const auto put_u32 = [&out](u64 v) {
-    ABC_CHECK_ARG((v >> 32) == 0, "batch field exceeds 32 bits");
-    for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
-  };
-  put_u32(kBatchMagic);
-  put_u32(cts.size());
-  for (const std::vector<u8>& frame : frames) {
-    put_u32(frame.size());
-    out.insert(out.end(), frame.begin(), frame.end());
-  }
-  return out;
+  ByteWriter w;
+  w.put_u32(kBatchMagic);
+  w.put_u32(cts.size());
+  for (const std::vector<u8>& frame : frames) w.put_bytes(frame);
+  return std::move(w.out);
 }
 
 std::vector<Ciphertext> deserialize_ciphertext_batch(
@@ -250,36 +295,21 @@ std::vector<Ciphertext> deserialize_ciphertext_batch(
     std::span<const u8> bytes) {
   ABC_CHECK_ARG(ctx != nullptr, "null context");
   ABC_FAILPOINT(fail::points::kDeserializeBatch);
-  std::size_t pos = 0;
-  const auto get_u32 = [&bytes, &pos]() -> u64 {
-    ABC_CHECK_ARG(pos + 4 <= bytes.size(), "batch envelope truncated");
-    u64 v = 0;
-    for (int b = 0; b < 4; ++b) {
-      v |= static_cast<u64>(bytes[pos++]) << (8 * b);
-    }
-    return v;
-  };
-  ABC_CHECK_ARG(get_u32() == kBatchMagic, "bad batch magic");
-  const u64 count = get_u32();
+  ByteReader r{bytes};
+  ABC_CHECK_ARG(r.get_u32() == kBatchMagic, "bad batch magic");
+  const u64 count = r.get_u32();
   // Every frame needs at least its 4-byte length prefix, so an untrusted
   // count beyond that is a truncated/corrupt envelope — reject it before
   // reserving attacker-controlled amounts of memory.
-  ABC_CHECK_ARG(count <= (bytes.size() - pos) / 4,
-                "batch envelope truncated");
+  ABC_CHECK_ARG(count <= r.remaining() / 4, "batch envelope truncated");
   // Cheap serial pre-scan of the frame table, then the per-frame work
   // (bit-unpacking every residue + regenerating compressed c1 halves)
   // fans out across the backend — frames are independent and land in
   // input order, so the result is bit-identical at any worker count.
   std::vector<std::span<const u8>> frames;
   frames.reserve(count);
-  for (u64 i = 0; i < count; ++i) {
-    const u64 length = get_u32();
-    ABC_CHECK_ARG(pos + length <= bytes.size(), "batch envelope truncated");
-    frames.push_back(bytes.subspan(pos, length));
-    pos += length;
-  }
-  ABC_CHECK_ARG(pos == bytes.size(),
-                "trailing bytes after the last batch frame");
+  for (u64 i = 0; i < count; ++i) frames.push_back(r.get_bytes());
+  r.expect_end();
   std::vector<Ciphertext> out(count);
   ctx->backend().parallel_for(count, [&](std::size_t i, std::size_t) {
     out[i] = deserialize_ciphertext(ctx, frames[i]);
@@ -587,58 +617,6 @@ constexpr u32 kBundleMagic = 0x41424350;    // "ABCP": tenant key bundles
 // frame cannot make the reader allocate more than the frame itself holds
 // plus this ceiling.
 constexpr std::size_t kMaxErrorBytes = 64 * 1024;
-
-// Little-endian byte-aligned writer/reader shared by the framing codecs.
-// Every length field is validated against the remaining span before any
-// allocation — the same untrusted-envelope discipline as "ABCB".
-struct ByteWriter {
-  std::vector<u8> out;
-  void put_u8(u8 v) { out.push_back(v); }
-  void put_u32(u64 v) {
-    ABC_CHECK_ARG((v >> 32) == 0, "frame field exceeds 32 bits");
-    for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
-  }
-  void put_u64(u64 v) {
-    for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
-  }
-  void put_bytes(std::span<const u8> bytes) {
-    put_u32(bytes.size());
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-};
-
-struct ByteReader {
-  std::span<const u8> bytes;
-  std::size_t pos = 0;
-
-  std::size_t remaining() const noexcept { return bytes.size() - pos; }
-  u8 get_u8() {
-    ABC_CHECK_ARG(pos + 1 <= bytes.size(), "frame truncated");
-    return bytes[pos++];
-  }
-  u64 get_u32() {
-    ABC_CHECK_ARG(pos + 4 <= bytes.size(), "frame truncated");
-    u64 v = 0;
-    for (int b = 0; b < 4; ++b) v |= static_cast<u64>(bytes[pos++]) << (8 * b);
-    return v;
-  }
-  u64 get_u64() {
-    ABC_CHECK_ARG(pos + 8 <= bytes.size(), "frame truncated");
-    u64 v = 0;
-    for (int b = 0; b < 8; ++b) v |= static_cast<u64>(bytes[pos++]) << (8 * b);
-    return v;
-  }
-  std::span<const u8> get_bytes() {
-    const u64 length = get_u32();
-    ABC_CHECK_ARG(length <= remaining(), "frame length field overruns the frame");
-    const std::span<const u8> view = bytes.subspan(pos, length);
-    pos += length;
-    return view;
-  }
-  void expect_end() const {
-    ABC_CHECK_ARG(pos == bytes.size(), "trailing bytes after the frame");
-  }
-};
 
 }  // namespace
 

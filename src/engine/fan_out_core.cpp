@@ -24,24 +24,13 @@ EngineMetrics& engine_metrics() {
   return *m;
 }
 
-/// Times one item and books it as processed/failed. Exceptions propagate
-/// (the throwing-mode contract) after being counted.
-template <class F>
-void timed_item(F&& f) {
-  EngineMetrics& m = engine_metrics();
-  const u64 t0 = obs::now_ns();
-  try {
-    f();
-  } catch (...) {
-    m.item_ns.record(obs::now_ns() - t0);
-    m.failed.inc();
-    throw;
-  }
-  m.item_ns.record(obs::now_ns() - t0);
-  m.processed.inc();
-}
-
 }  // namespace
+
+void record_item(u64 elapsed_ns, bool ok) {
+  EngineMetrics& m = engine_metrics();
+  m.item_ns.record(elapsed_ns);
+  (ok ? m.processed : m.failed).inc();
+}
 
 FanOutCore::FanOutCore(std::shared_ptr<const ckks::CkksContext> ctx)
     : ctx_(std::move(ctx)) {
@@ -86,7 +75,6 @@ BatchErrorReport FanOutCore::run_isolated(std::size_t count,
                                           const Job& job) const {
   std::vector<ItemStatus> statuses(count);
   if (count != 0) {
-    EngineMetrics& m = engine_metrics();
     ctx_->backend().parallel_for(count, [&](std::size_t i,
                                             std::size_t worker) {
       // Each slot is owned by exactly one item, so recording the outcome
@@ -101,8 +89,7 @@ BatchErrorReport FanOutCore::run_isolated(std::size_t count,
         statuses[i].ok = false;
         statuses[i].error = "unknown exception";
       }
-      m.item_ns.record(obs::now_ns() - t0);
-      (statuses[i].ok ? m.processed : m.failed).inc();
+      record_item(obs::now_ns() - t0, statuses[i].ok);
     });
   }
   return fold_statuses(std::move(statuses));
@@ -116,7 +103,6 @@ BatchErrorReport FanOutCore::run_with_ids_isolated(std::size_t count,
     // item, failed or not — so surviving items consume the same streams a
     // fault-free batch would and stay bit-identical to it.
     const u64 base = reserve_stream_ids(count);
-    EngineMetrics& m = engine_metrics();
     ctx_->backend().parallel_for(count, [&](std::size_t i,
                                             std::size_t worker) {
       const u64 t0 = obs::now_ns();
@@ -129,8 +115,7 @@ BatchErrorReport FanOutCore::run_with_ids_isolated(std::size_t count,
         statuses[i].ok = false;
         statuses[i].error = "unknown exception";
       }
-      m.item_ns.record(obs::now_ns() - t0);
-      (statuses[i].ok ? m.processed : m.failed).inc();
+      record_item(obs::now_ns() - t0, statuses[i].ok);
     });
   }
   return fold_statuses(std::move(statuses));

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "ckks/context.hpp"
+#include "obs/trace.hpp"
 
 namespace abc::engine {
 
@@ -58,6 +59,25 @@ struct BatchErrorReport {
   bool ok() const noexcept { return failed == 0; }
   std::size_t size() const noexcept { return items.size(); }
 };
+
+/// Books one item's latency to engine.item_ns and counts it in
+/// engine.items_processed (@p ok) or engine.items_failed.
+void record_item(u64 elapsed_ns, bool ok);
+
+/// Runs f() as one booked item; an exception is counted as a failure and
+/// propagates. run() and run_with_ids() wrap every job in it, and the
+/// serving daemon wraps each item it evaluates.
+template <class F>
+void timed_item(F&& f) {
+  const u64 t0 = obs::now_ns();
+  try {
+    f();
+  } catch (...) {
+    record_item(obs::now_ns() - t0, false);
+    throw;
+  }
+  record_item(obs::now_ns() - t0, true);
+}
 
 class FanOutCore {
  public:

@@ -5,8 +5,10 @@
 #include <string>
 #include <utility>
 
+#include "ckks/evaluator.hpp"
 #include "common/check.hpp"
 #include "common/failpoint.hpp"
+#include "engine/fan_out_core.hpp"
 #include "obs/export_json.hpp"
 
 namespace abc::server {
@@ -46,18 +48,21 @@ struct Server::Pending {
   obs::Trace trace;  // stamped at admission, completed by execute()
 };
 
-/// Per-worker evaluation state. Each worker owns its own BatchEvaluator
-/// per context because the evaluator's scratch pool is sized to the
-/// *backend's* lanes (one, for the daemon's scalar contexts) and must not
-/// be shared across server worker threads.
+/// Per-worker evaluation state: one Evaluator and one KeySwitchScratch
+/// per context, owned by a single worker thread so the scratch is never
+/// shared across threads.
 struct Server::WorkerState {
-  std::map<const ckks::CkksContext*, std::unique_ptr<engine::BatchEvaluator>>
-      evaluators;
+  struct Slot {
+    explicit Slot(std::shared_ptr<const ckks::CkksContext> ctx)
+        : evaluator(std::move(ctx)) {}
+    ckks::Evaluator evaluator;
+    ckks::KeySwitchScratch scratch;
+  };
+  std::map<const ckks::CkksContext*, std::unique_ptr<Slot>> slots;
 
-  engine::BatchEvaluator& evaluator_for(
-      const std::shared_ptr<const ckks::CkksContext>& ctx) {
-    auto& slot = evaluators[ctx.get()];
-    if (!slot) slot = std::make_unique<engine::BatchEvaluator>(ctx);
+  Slot& slot_for(const std::shared_ptr<const ckks::CkksContext>& ctx) {
+    auto& slot = slots[ctx.get()];
+    if (!slot) slot = std::make_unique<Slot>(ctx);
     return *slot;
   }
 };
@@ -302,14 +307,34 @@ ckks::ResponseFrame Server::evaluate(const ckks::RequestFrame& request,
       ABC_CHECK_ARG(request.op_arg >= std::numeric_limits<int>::min() &&
                         request.op_arg <= std::numeric_limits<int>::max(),
                     "rotation step out of range");
-      const TenantKeySource keys(key_cache_, *tenant);
-      out = state.evaluator_for(tenant->ctx)
-                .rotate_batch(cts, static_cast<int>(request.op_arg), keys);
+      // Pinned once per request, before any item work: at most one
+      // regeneration, a lookup failure costs no evaluation, and the key
+      // cannot be evicted while an item still switches on it.
+      const std::shared_ptr<const ckks::KeySwitchKey> key =
+          TenantKeySource(key_cache_, *tenant)
+              .galois_key(static_cast<int>(request.op_arg));
+      WorkerState::Slot& slot = state.slot_for(tenant->ctx);
+      out.resize(cts.size());
+      for (std::size_t i = 0; i < cts.size(); ++i) {
+        engine::timed_item([&] {
+          ABC_FAILPOINT(fail::points::kEvaluateItem);
+          out[i] = slot.evaluator.rotate(cts[i], *key, &slot.scratch);
+        });
+      }
       break;
     }
     case Op::kSquare: {
-      const TenantKeySource keys(key_cache_, *tenant);
-      out = state.evaluator_for(tenant->ctx).square_relin_batch(cts, keys);
+      const std::shared_ptr<const ckks::KeySwitchKey> key =
+          TenantKeySource(key_cache_, *tenant).relin_key();
+      WorkerState::Slot& slot = state.slot_for(tenant->ctx);
+      out.resize(cts.size());
+      for (std::size_t i = 0; i < cts.size(); ++i) {
+        engine::timed_item([&] {
+          ABC_FAILPOINT(fail::points::kEvaluateItem);
+          out[i] = slot.evaluator.mul(cts[i], cts[i]);
+          slot.evaluator.relinearize_inplace(out[i], *key, &slot.scratch);
+        });
+      }
       break;
     }
     default:

@@ -57,8 +57,8 @@ std::vector<u8> serve(const std::shared_ptr<const ckks::CkksContext>& ctx,
       ckks::deserialize_ciphertext_batch(ctx, envelope);
   ckks::KeySwitchScratch scratch;
   for (ckks::Ciphertext& ct : cts) {
-    const ckks::Ciphertext left = eval.rotate(ct, 1, gks, &scratch);
-    ct = eval.rotate(left, -1, gks, &scratch);
+    const ckks::Ciphertext left = eval.rotate(ct, gks.key_for(1), &scratch);
+    ct = eval.rotate(left, gks.key_for(-1), &scratch);
   }
   return ckks::serialize_ciphertext_batch(cts, bits);
 }

@@ -420,7 +420,7 @@ TEST_F(KeyCacheTest, SixtyFourHoistedRotationsThroughThrashCache) {
   // Bit-identical to eagerly expanded single rotations.
   const ckks::GaloisKeys gks = s.expand_gks();
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ckks::Ciphertext single = eval.rotate(cts[0], steps[i], gks);
+    const ckks::Ciphertext single = eval.rotate(cts[0], gks.key_for(steps[i]));
     EXPECT_EQ(ckks::serialize_ciphertext(hoisted[i]),
               ckks::serialize_ciphertext(single))
         << "step " << steps[i];

@@ -10,6 +10,7 @@
 #include "ckks/encoder.hpp"
 #include "ckks/encryptor.hpp"
 #include "ckks/evaluator.hpp"
+#include "ckks/key_source.hpp"
 #include "ckks/keyswitch.hpp"
 #include "ckks/noise.hpp"
 #include "ckks/serialize.hpp"
@@ -159,7 +160,7 @@ TEST(Evaluator, RelinearizedMatchesThreeComponentDecrypt) {
   const ckks::Ciphertext prod3 = f.eval.mul(ca, cb);
 
   ckks::Ciphertext prod2 = prod3;
-  f.eval.relinearize_inplace(prod2, rlk);
+  f.eval.relinearize_inplace(prod2, rlk.key);
   ASSERT_EQ(prod2.size(), 2u);
   EXPECT_EQ(prod2.limbs(), prod3.limbs());
   EXPECT_DOUBLE_EQ(prod2.scale, prod3.scale);
@@ -195,7 +196,7 @@ TEST(Evaluator, RotateActsAsLeftCyclicShift) {
   const ckks::GaloisKeys gks = f.keygen.galois_keys(f.sk, steps);
 
   for (const int step : steps) {
-    const ckks::Ciphertext rot = f.eval.rotate(ct, step, gks);
+    const ckks::Ciphertext rot = f.eval.rotate(ct, gks.key_for(step));
     EXPECT_EQ(rot.size(), 2u);
     EXPECT_EQ(rot.limbs(), ct.limbs());
     const auto got = f.encoder.decode(f.dec.decrypt(rot));
@@ -221,7 +222,7 @@ TEST(Evaluator, RotationRoundTripsAcrossThreadCounts) {
     const std::vector<int> steps = {3, -3};
     const ckks::GaloisKeys gks = f.keygen.galois_keys(f.sk, steps);
     const ckks::Ciphertext back =
-        f.eval.rotate(f.eval.rotate(ct, 3, gks), -3, gks);
+        f.eval.rotate(f.eval.rotate(ct, gks.key_for(3)), gks.key_for(-3));
     const auto got = f.encoder.decode(f.dec.decrypt(back));
     for (std::size_t i = 0; i < z.size(); ++i) {
       EXPECT_NEAR(got[i].real(), z[i].real(), 1e-3) << i;
@@ -246,10 +247,11 @@ TEST(Evaluator, HoistedRotateManyMatchesNaiveBitForBit) {
 
   ckks::KeySwitchScratch scratch;
   const std::vector<ckks::Ciphertext> hoisted =
-      f.eval.rotate_many(ct, steps, gks, &scratch);
+      f.eval.rotate_many(ct, steps, ckks::EagerKeySource(&gks, nullptr),
+                         &scratch);
   ASSERT_EQ(hoisted.size(), steps.size());
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    const ckks::Ciphertext naive = f.eval.rotate(ct, steps[i], gks);
+    const ckks::Ciphertext naive = f.eval.rotate(ct, gks.key_for(steps[i]));
     expect_identical_ct(naive, hoisted[i],
                         "step " + std::to_string(steps[i]));
   }
@@ -274,9 +276,9 @@ TEST(Evaluator, KeySwitchPipelineIsKernelArchInvariant) {
     const std::vector<int> steps = {5};
     const ckks::GaloisKeys gks = f.keygen.galois_keys(f.sk, steps);
     ckks::Ciphertext prod = f.eval.mul(ct, ct);
-    f.eval.relinearize_inplace(prod, rlk);
+    f.eval.relinearize_inplace(prod, rlk.key);
     f.eval.rescale_inplace(prod);
-    return f.eval.rotate(prod, 5, gks);
+    return f.eval.rotate(prod, gks.key_for(5));
   };
   std::vector<simd::KernelArch> arches = {simd::KernelArch::kPortable};
   if (simd::avx2_selectable()) arches.push_back(simd::KernelArch::kAvx2);
@@ -297,7 +299,7 @@ TEST(Evaluator, RelinearizationIsThreadCountInvariant) {
     const auto zb = random_slots(f.encoder.slots(), 27);
     ckks::Ciphertext prod = f.eval.mul(f.enc.encrypt(f.encoder.encode(za, 2)),
                                        f.enc.encrypt(f.encoder.encode(zb, 2)));
-    f.eval.relinearize_inplace(prod, f.keygen.relin_key(f.sk));
+    f.eval.relinearize_inplace(prod, f.keygen.relin_key(f.sk).key);
     return prod;
   };
   const ckks::Ciphertext ref = run(std::make_shared<backend::ScalarBackend>());
@@ -317,22 +319,22 @@ TEST(Evaluator, KeySwitchArgumentValidation) {
 
   // Full-level inputs must rescale/mod-switch first (special modulus).
   ckks::Ciphertext full = f.enc.encrypt(f.encoder.encode(z, 3));
-  EXPECT_THROW(f.eval.rotate(full, 1, gks), InvalidArgument);
+  EXPECT_THROW(f.eval.rotate(full, gks.key_for(1)), InvalidArgument);
   ckks::Ciphertext full3 = f.eval.mul(full, full);
-  EXPECT_THROW(f.eval.relinearize_inplace(full3, rlk), InvalidArgument);
+  EXPECT_THROW(f.eval.relinearize_inplace(full3, rlk.key), InvalidArgument);
   EXPECT_EQ(full3.size(), 3u);  // the failed call must not mutate its input
 
   // Relinearize needs 3 components; rotate needs 2.
   ckks::Ciphertext two = f.enc.encrypt(f.encoder.encode(z, 2));
-  EXPECT_THROW(f.eval.relinearize_inplace(two, rlk), InvalidArgument);
+  EXPECT_THROW(f.eval.relinearize_inplace(two, rlk.key), InvalidArgument);
   ckks::Ciphertext three = f.eval.mul(two, two);
-  EXPECT_THROW(f.eval.rotate(three, 1, gks), InvalidArgument);
+  EXPECT_THROW(f.eval.rotate(three, gks.key_for(1)), InvalidArgument);
 
   // Missing step and mismatched key kinds are rejected.
-  EXPECT_THROW(f.eval.rotate(two, 2, gks), InvalidArgument);
+  EXPECT_THROW(f.eval.rotate(two, gks.key_for(2)), InvalidArgument);
   ckks::GaloisKeys wrong_kind = gks;
   wrong_kind.keys[0].kind = ckks::KeySwitchKey::Kind::kRelin;
-  EXPECT_THROW(f.eval.rotate(two, 1, wrong_kind), InvalidArgument);
+  EXPECT_THROW(f.eval.rotate(two, wrong_kind.key_for(1)), InvalidArgument);
 }
 
 TEST(VerifyDecode, ReportsPassAndFailure) {
@@ -405,9 +407,10 @@ TEST(KeySwitchEndToEnd, ClientKeysServeRemoteEvaluation) {
         eval.mul(deserialize_ciphertext(server, ca_wire),
                  deserialize_ciphertext(server, cb_wire));
     ckks::KeySwitchScratch scratch;
-    eval.relinearize_inplace(prod, rlk, &scratch);
+    eval.relinearize_inplace(prod, rlk.key, &scratch);
     std::vector<ckks::Ciphertext> rots =
-        eval.rotate_many(prod, steps, gks, &scratch);
+        eval.rotate_many(prod, steps, ckks::EagerKeySource(&gks, nullptr),
+                         &scratch);
     return serialize_ciphertext(eval.add(rots[0], rots[1]), 44);
   };
 

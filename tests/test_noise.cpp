@@ -110,7 +110,8 @@ TEST(Noise, KeySwitchBoundHoldsForRotatedCiphertexts) {
   for (auto& z : msg) z = {dist(rng), dist(rng)};
 
   const Ciphertext ct = enc.encrypt(encoder.encode(msg, 2));
-  const Ciphertext back = eval.rotate(eval.rotate(ct, 5, gks), -5, gks);
+  const Ciphertext back =
+      eval.rotate(eval.rotate(ct, gks.key_for(5)), gks.key_for(-5));
   const double measured = measured_slot_noise(back, dec, encoder, msg);
   const double bound = slot_error_bound(
       fresh_noise_bound(params, EncryptMode::kPublicKey) +

@@ -204,6 +204,30 @@ TEST(Serialize, CiphertextBatchRoundtrip) {
   }
 }
 
+TEST(Serialize, CiphertextBatchLayoutIsPinned) {
+  // The "ABCB" wire layout, byte for byte: magic, item count, then each
+  // frame behind its u32 little-endian length prefix. Two frames at
+  // different levels so the two prefixes differ.
+  Fixture f;
+  Encryptor enc(f.ctx, f.sk);
+  std::vector<Ciphertext> cts;
+  cts.push_back(enc.encrypt(f.encoder.encode(f.message(10), 3)));
+  cts.push_back(enc.encrypt(f.encoder.encode(f.message(11), 2)));
+  const std::vector<u8> envelope = serialize_ciphertext_batch(cts, 44);
+
+  std::vector<u8> expected = {0x42, 0x43, 0x42, 0x41,   // "ABCB"
+                              0x02, 0x00, 0x00, 0x00};  // count = 2
+  for (const Ciphertext& ct : cts) {
+    const std::vector<u8> frame = serialize_ciphertext(ct, 44);
+    ASSERT_LT(frame.size(), std::size_t{1} << 32);
+    for (int b = 0; b < 4; ++b) {
+      expected.push_back(static_cast<u8>(frame.size() >> (8 * b)));
+    }
+    expected.insert(expected.end(), frame.begin(), frame.end());
+  }
+  EXPECT_EQ(envelope, expected);
+}
+
 TEST(Serialize, EmptyCiphertextBatchRoundtrips) {
   Fixture f;
   const std::vector<u8> envelope = serialize_ciphertext_batch({}, 44);

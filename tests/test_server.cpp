@@ -20,10 +20,8 @@
 #include <thread>
 #include <vector>
 
-#include "backend/thread_pool_backend.hpp"
 #include "common/failpoint.hpp"
 #include "obs/metrics.hpp"
-#include "engine/batch_evaluator.hpp"
 #include "engine/client_session.hpp"
 #include "server/server.hpp"
 #include "server/transport.hpp"
@@ -527,72 +525,6 @@ TEST_F(ServerTest, EvaluateItemFaultIsTypedAndLeavesNoResidue) {
   const ckks::ResponseFrame after = srv.call(request);
   ASSERT_EQ(status_of(after), Status::kOk) << after.error;
   EXPECT_EQ(after.payload, serial.payload);
-}
-
-// ---------------------------------------------------------------------------
-// BatchEvaluator: the server-side engine in isolation
-// ---------------------------------------------------------------------------
-
-TEST_F(ServerTest, BatchEvaluatorBitIdenticalAcrossBackends) {
-  const ckks::CkksParams params = small_params();
-  Client client(params);
-  const ckks::KeyBundleFrames frames = frames_of(client.session.key_bundle());
-  const auto msgs = random_batch(4, client.ctx->slots(), 23);
-  const std::vector<u8> upload =
-      client.session.upload(msgs, client.eval_limbs());
-
-  auto run = [&](std::shared_ptr<backend::PolyBackend> backend) {
-    auto ctx = ckks::CkksContext::create(params, std::move(backend));
-    const server::TenantSession keys =
-        server::parse_tenant_bundle(ctx, frames);
-    const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
-    engine::BatchEvaluator eval(ctx);
-    const auto rotated = eval.rotate_batch(cts, 1, keys.expand_gks());
-    const auto squared = eval.square_relin_batch(cts, keys.expand_rlk());
-    return std::make_pair(ckks::serialize_ciphertext_batch(rotated),
-                          ckks::serialize_ciphertext_batch(squared));
-  };
-
-  const auto scalar = run(nullptr);
-  const auto pooled = run(std::make_shared<backend::ThreadPoolBackend>(4));
-  EXPECT_EQ(scalar.first, pooled.first);    // rotate: any worker count
-  EXPECT_EQ(scalar.second, pooled.second);  // square: any worker count
-}
-
-TEST_F(ServerTest, BatchEvaluatorReportModeIsolatesTheFaultedItem) {
-  const ckks::CkksParams params = small_params();
-  Client client(params);
-  const ckks::KeyBundleFrames frames = frames_of(client.session.key_bundle());
-  const auto msgs = random_batch(3, client.ctx->slots(), 29);
-  const std::vector<u8> upload =
-      client.session.upload(msgs, client.eval_limbs());
-
-  auto ctx = ckks::CkksContext::create(params);  // scalar: in-order items
-  const server::TenantSession keys = server::parse_tenant_bundle(ctx, frames);
-  const ckks::GaloisKeys gks = keys.expand_gks();
-  const auto cts = ckks::deserialize_ciphertext_batch(ctx, upload);
-  engine::BatchEvaluator eval(ctx);
-  const auto clean = eval.rotate_batch(cts, 1, gks);
-
-  fail::Policy second_item;
-  second_item.trigger = fail::Trigger::kNthHit;
-  second_item.nth = 2;
-  fail::arm(fail::points::kEvaluateItem, second_item);
-  engine::BatchErrorReport report;
-  const auto faulted = eval.rotate_batch(cts, 1, gks, report);
-  fail::disarm_all();
-
-  ASSERT_EQ(report.size(), cts.size());
-  EXPECT_FALSE(report.ok());
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_FALSE(report.items[1].ok);  // scalar backend: hit 2 = item 1
-  EXPECT_TRUE(report.items[0].ok);
-  EXPECT_TRUE(report.items[2].ok);
-  // Survivors are the exact bytes of the clean run.
-  EXPECT_EQ(ckks::serialize_ciphertext(faulted[0]),
-            ckks::serialize_ciphertext(clean[0]));
-  EXPECT_EQ(ckks::serialize_ciphertext(faulted[2]),
-            ckks::serialize_ciphertext(clean[2]));
 }
 
 // ---------------------------------------------------------------------------
