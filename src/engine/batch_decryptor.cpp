@@ -30,17 +30,6 @@ std::vector<ckks::Plaintext> BatchDecryptor::decrypt_batch(
   return out;
 }
 
-std::vector<std::optional<ckks::Plaintext>> BatchDecryptor::decrypt_batch(
-    std::span<const ckks::Ciphertext> cts, BatchErrorReport& report) {
-  std::vector<std::optional<ckks::Plaintext>> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kDecryptItem);
-    out[i] = decryptor_.decrypt_with(cts[i], scratch_.at(worker));
-  });
-  return out;
-}
-
 std::vector<std::vector<std::complex<double>>>
 BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts) {
   std::vector<std::vector<std::complex<double>>> out(cts.size());
@@ -52,42 +41,19 @@ BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts) {
   return out;
 }
 
-std::vector<std::vector<std::complex<double>>>
-BatchDecryptor::decrypt_decode_batch(std::span<const ckks::Ciphertext> cts,
-                                     BatchErrorReport& report) {
-  std::vector<std::vector<std::complex<double>>> out(cts.size());
-  report = core_.run_isolated(cts.size(), [&](std::size_t i,
-                                              std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kDecryptItem);
-    // decode() returns a fresh vector, so a throw before the assignment
-    // leaves out[i] as the empty vector it started as — never half-written.
-    out[i] =
-        encoder_.decode(decryptor_.decrypt_with(cts[i], scratch_.at(worker)));
-  });
-  return out;
-}
-
-namespace {
-
-// Serial fold after the fan-out: aggregation order never depends on
-// worker scheduling.
-void fold_verify_items(BatchVerifyReport& report) {
-  report.ok = true;
-  report.passed = 0;
-  report.failed = 0;
-  report.worst_abs_error = 0.0;
-  report.worst_precision_bits = 60.0;
-  for (const ckks::VerifyReport& item : report.items) {
-    (item.ok ? report.passed : report.failed) += 1;
-    report.ok = report.ok && item.ok;
-    report.worst_abs_error =
-        std::max(report.worst_abs_error, item.max_abs_error);
-    report.worst_precision_bits =
-        std::min(report.worst_precision_bits, item.precision_bits);
+void BatchVerifyReport::fold_items() {
+  ok = true;
+  passed = 0;
+  failed = 0;
+  worst_abs_error = 0.0;
+  worst_precision_bits = 60.0;
+  for (const ckks::VerifyReport& item : items) {
+    (item.ok ? passed : failed) += 1;
+    ok = ok && item.ok;
+    worst_abs_error = std::max(worst_abs_error, item.max_abs_error);
+    worst_precision_bits = std::min(worst_precision_bits, item.precision_bits);
   }
 }
-
-}  // namespace
 
 BatchVerifyReport BatchDecryptor::verify_batch(
     std::span<const ckks::Ciphertext> cts,
@@ -103,7 +69,7 @@ BatchVerifyReport BatchDecryptor::verify_batch(
         ckks::verify_decode(core_.ctx(), cts[i], decryptor_, encoder_,
                             expected[i], bound, scratch_.at(worker));
   });
-  fold_verify_items(report);
+  report.fold_items();
   return report;
 }
 
@@ -124,7 +90,7 @@ BatchVerifyReport BatchDecryptor::verify_batch(
   });
   // A slot whose verify threw keeps the default VerifyReport — ok=false —
   // so the fold counts it as failed without consulting the error report.
-  fold_verify_items(report);
+  report.fold_items();
   return report;
 }
 

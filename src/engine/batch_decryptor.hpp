@@ -17,7 +17,6 @@
 
 #include <complex>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -39,6 +38,10 @@ struct BatchVerifyReport {
   double worst_precision_bits = 60.0; // min over items; 60 = "no error
                                       // observed", matching VerifyReport
   std::vector<ckks::VerifyReport> items;
+
+  /// Recomputes every aggregate above from @c items, serially in input
+  /// order, so the result never depends on worker scheduling.
+  void fold_items();
 };
 
 class BatchDecryptor {
@@ -48,9 +51,6 @@ class BatchDecryptor {
 
   /// Lanes the underlying backend executes on (and scratch copies held).
   std::size_t workers() const noexcept { return core_.workers(); }
-
-  /// The underlying decryptor, for one-off decrypt() calls.
-  ckks::Decryptor& decryptor() noexcept { return decryptor_; }
 
   /// Decrypts cts[i] to a coefficient-domain plaintext; results come back
   /// in input order. Accepts 2- and 3-component ciphertexts at any level;
@@ -73,19 +73,11 @@ class BatchDecryptor {
       std::span<const std::vector<std::complex<double>>> expected,
       double bound = 0.0);
 
-  // -- per-item-fault mode ----------------------------------------------------
-  // One malformed ciphertext no longer aborts the batch: @p report records
-  // each item's outcome in input order and successes are untouched.
-  // Plaintext is not default-constructible, so the failed slot of the
-  // plaintext overload is std::nullopt; a failed decode slot is an empty
-  // vector; a failed verify slot is a default (failing) VerifyReport.
-
-  std::vector<std::optional<ckks::Plaintext>> decrypt_batch(
-      std::span<const ckks::Ciphertext> cts, BatchErrorReport& report);
-
-  std::vector<std::vector<std::complex<double>>> decrypt_decode_batch(
-      std::span<const ckks::Ciphertext> cts, BatchErrorReport& report);
-
+  /// Per-item-fault verify_batch: an item whose verify throws no longer
+  /// aborts the batch. @p report records each item's outcome in input
+  /// order, the thrown item keeps a default (failing) VerifyReport, and
+  /// its neighbours are untouched. ClientSession::round_trip_with_retry
+  /// runs on it.
   BatchVerifyReport verify_batch(
       std::span<const ckks::Ciphertext> cts,
       std::span<const std::vector<std::complex<double>>> expected,

@@ -41,11 +41,6 @@ class BatchEncryptor {
   /// Lanes the underlying backend executes on (and scratch copies held).
   std::size_t workers() const noexcept { return core_.workers(); }
 
-  /// The underlying encryptor: one-off encrypt() calls through it draw
-  /// from the same context-wide stream-id counter as the batches, so
-  /// mixing single and batched encryption never reuses a PRNG stream.
-  ckks::Encryptor& encryptor() noexcept { return encryptor_; }
-
   /// Encodes messages[i] (complex slot values, up to ctx->slots() each)
   /// at @p limbs RNS limbs and encrypts them; ciphertexts come back in
   /// input order.
@@ -57,24 +52,15 @@ class BatchEncryptor {
   std::vector<ckks::Ciphertext> encrypt_real_batch(
       std::span<const std::vector<double>> messages, std::size_t limbs);
 
-  /// Encrypts already-encoded plaintexts (encode elsewhere / reuse).
-  std::vector<ckks::Ciphertext> encrypt_plaintexts(
-      std::span<const ckks::Plaintext> plaintexts);
-
-  // -- per-item-fault mode ----------------------------------------------------
-  // Same work, but one bad message no longer aborts the batch: @p report
-  // records each item's outcome in input order, failed slots come back as
-  // default-constructed (empty) Ciphertexts, and successes are the exact
-  // bytes the throwing overload would have produced (stream ids are
-  // reserved identically whether or not neighbours fail).
-
+  /// Per-item-fault encrypt_batch: one bad message no longer aborts the
+  /// batch. @p report records each item's outcome in input order, failed
+  /// slots come back as default-constructed (empty) Ciphertexts, and
+  /// successes are the exact bytes the throwing overload would have
+  /// produced (stream ids are reserved identically whether or not
+  /// neighbours fail). ClientSession::round_trip_with_retry runs on it.
   std::vector<ckks::Ciphertext> encrypt_batch(
       std::span<const std::vector<std::complex<double>>> messages,
       std::size_t limbs, BatchErrorReport& report);
-
-  std::vector<ckks::Ciphertext> encrypt_real_batch(
-      std::span<const std::vector<double>> messages, std::size_t limbs,
-      BatchErrorReport& report);
 
  private:
   std::vector<ckks::Ciphertext> run(
@@ -82,12 +68,6 @@ class BatchEncryptor {
       const std::function<ckks::Ciphertext(std::size_t index,
                                            ckks::EncryptScratch& scratch,
                                            u64 stream_id)>& item);
-  std::vector<ckks::Ciphertext> run_isolated(
-      std::size_t count,
-      const std::function<ckks::Ciphertext(std::size_t index,
-                                           ckks::EncryptScratch& scratch,
-                                           u64 stream_id)>& item,
-      BatchErrorReport& report);
 
   FanOutCore core_;
   ckks::CkksEncoder encoder_;

@@ -1,6 +1,5 @@
 #include "engine/batch_keygen.hpp"
 
-#include "common/check.hpp"
 #include "common/failpoint.hpp"
 
 namespace abc::engine {
@@ -40,7 +39,7 @@ ckks::KeySwitchKey BatchKeyGenerator::make_key_shell(
   key.kind = kind;
   key.galois_elt = galois_elt;
   key.base_stream_id =
-      ckks::ksk_base_stream_id(secret_id_, reserve_stream_ids(digits));
+      ckks::ksk_base_stream_id(secret_id_, core_.reserve_stream_ids(digits));
   key.b.reserve(digits);
   key.a.reserve(digits);
   for (std::size_t d = 0; d < digits; ++d) {
@@ -67,27 +66,6 @@ ckks::RelinKey BatchKeyGenerator::relin_key() {
   if (!s2_eval_) s2_eval_ = squared(s_eval_);
   return ckks::RelinKey{
       make_ksk_parallel(ckks::KeySwitchKey::Kind::kRelin, 0, *s2_eval_)};
-}
-
-ckks::RelinKey BatchKeyGenerator::relin_key(BatchErrorReport& report) {
-  if (!s2_eval_) s2_eval_ = squared(s_eval_);
-  ckks::KeySwitchKey key =
-      make_key_shell(ckks::KeySwitchKey::Kind::kRelin, 0);
-  report = core_.run_isolated(key.digits(), [&](std::size_t d,
-                                                std::size_t worker) {
-    ABC_FAILPOINT(fail::points::kKeygenDigit);
-    ckks::generate_ksk_digit(core_.ctx(), s_neg_eval_, *s2_eval_,
-                             ckks::KeySwitchKey::Kind::kRelin, 0,
-                             key.base_stream_id + d, d, key.b[d], key.a[d],
-                             &scratch_.at(worker));
-  });
-  // A switching key is only usable whole: any failed digit voids the key,
-  // and the caller gets digits() == 0 rather than a half-written gadget.
-  if (!report.ok()) {
-    key.b.clear();
-    key.a.clear();
-  }
-  return ckks::RelinKey{std::move(key)};
 }
 
 ckks::GaloisKeys BatchKeyGenerator::galois_keys(std::span<const int> steps) {
@@ -124,72 +102,6 @@ ckks::GaloisKeys BatchKeyGenerator::galois_keys(std::span<const int> steps) {
                              key.galois_elt, key.base_stream_id + d, d,
                              key.b[d], key.a[d], &scratch_.at(worker));
   });
-  return out;
-}
-
-ckks::GaloisKeys BatchKeyGenerator::galois_keys(std::span<const int> steps,
-                                                BatchErrorReport& report) {
-  // Same shape as the throwing overload — shells (and counter blocks) are
-  // reserved in step order before the fan-out, so surviving keys are
-  // bit-identical to the ones a fault-free call would produce.
-  const ckks::CkksContext& ctx = core_.ctx();
-  ckks::GaloisKeys out;
-  out.slots = ctx.slots();
-  out.steps.assign(steps.begin(), steps.end());
-  if (steps.empty()) {
-    report = BatchErrorReport{};
-    return out;
-  }
-  out.keys.reserve(steps.size());
-  std::vector<poly::RnsPoly> rotated;
-  rotated.reserve(steps.size());
-  poly::RnsPoly s_coeff = s_eval_;
-  s_coeff.to_coeff();
-  for (int step : steps) {
-    const u32 elt = ckks::galois_element(step, ctx.n());
-    poly::RnsPoly s_rot = s_coeff.automorphism(elt);
-    s_rot.to_eval();
-    rotated.push_back(std::move(s_rot));
-    out.keys.push_back(
-        make_key_shell(ckks::KeySwitchKey::Kind::kGalois, elt));
-  }
-  const std::size_t digits = ctx.max_limbs();
-  const BatchErrorReport per_digit =
-      core_.run_isolated(steps.size() * digits, [&](std::size_t i,
-                                                    std::size_t worker) {
-        const std::size_t k = i / digits;
-        const std::size_t d = i % digits;
-        ckks::KeySwitchKey& key = out.keys[k];
-        ABC_FAILPOINT(fail::points::kKeygenDigit);
-        ckks::generate_ksk_digit(ctx, s_neg_eval_, rotated[k],
-                                 ckks::KeySwitchKey::Kind::kGalois,
-                                 key.galois_elt, key.base_stream_id + d, d,
-                                 key.b[d], key.a[d], &scratch_.at(worker));
-      });
-  // Fold per-digit outcomes to per-step items: a key fails if any of its
-  // digits did (lowest failed digit reports), and a failed key is voided —
-  // digits() == 0, never a half-written gadget.
-  std::vector<ItemStatus> per_step(steps.size());
-  for (std::size_t k = 0; k < steps.size(); ++k) {
-    for (std::size_t d = 0; d < digits; ++d) {
-      const ItemStatus& st = per_digit.items[k * digits + d];
-      if (!st.ok && per_step[k].ok) per_step[k] = st;
-    }
-    if (!per_step[k].ok) {
-      out.keys[k].b.clear();
-      out.keys[k].a.clear();
-    }
-  }
-  report = BatchErrorReport{};
-  report.items = std::move(per_step);
-  for (const ItemStatus& st : report.items) {
-    if (st.ok) {
-      ++report.succeeded;
-    } else {
-      if (report.failed == 0) report.first_error = st.error;
-      ++report.failed;
-    }
-  }
   return out;
 }
 

@@ -47,26 +47,6 @@ class BatchKeyGenerator {
   /// own worker.
   ckks::GaloisKeys galois_keys(std::span<const int> steps);
 
-  // -- per-item-fault mode ----------------------------------------------------
-  // A key is only usable if every gadget digit generated, so the report
-  // granularity is one item per *key*: per digit for relin (one key, D
-  // digit items), per step for galois (a step fails if any of its digits
-  // failed, reporting the lowest failed digit's error). A failed key comes
-  // back with b/a cleared — well-defined-empty, digits() == 0 — never a
-  // half-written digit list.
-
-  ckks::RelinKey relin_key(BatchErrorReport& report);
-
-  ckks::GaloisKeys galois_keys(std::span<const int> steps,
-                               BatchErrorReport& report);
-
-  /// Reserves @p count consecutive key counter values from the
-  /// context-wide counter (the secret id is folded into the resulting
-  /// base via ckks::ksk_base_stream_id).
-  u64 reserve_stream_ids(u64 count) const {
-    return core_.reserve_stream_ids(count);
-  }
-
  private:
   ckks::KeySwitchKey make_key_shell(ckks::KeySwitchKey::Kind kind,
                                     u32 galois_elt);

@@ -10,7 +10,7 @@
 ///                         Galois switching keys on first key_bundle()
 ///   2. key upload       — key_bundle(): seed-compressed wire blobs (the
 ///                         b halves + stream ids a server needs)
-///   3. encrypt batch    — encrypt()/encrypt_real(), or upload() straight
+///   3. encrypt batch    — encrypt(), or upload() straight
 ///                         to an "ABCB" ciphertext-batch envelope
 ///   4. decrypt/verify   — decrypt_batch()/verify(), or verify_download()
 ///                         straight from a returned envelope
@@ -85,8 +85,6 @@ class ClientSession {
   std::vector<ckks::Ciphertext> encrypt(
       std::span<const std::vector<std::complex<double>>> messages,
       std::size_t limbs);
-  std::vector<ckks::Ciphertext> encrypt_real(
-      std::span<const std::vector<double>> messages, std::size_t limbs);
 
   /// encrypt() + ciphertext-batch envelope: the bytes one request uploads.
   std::vector<u8> upload(

@@ -45,32 +45,6 @@ void FanOutCore::run(std::size_t count, const Job& job) const {
   });
 }
 
-void FanOutCore::run_with_ids(std::size_t count, const IdJob& job) const {
-  if (count == 0) return;
-  const u64 base = reserve_stream_ids(count);
-  ctx_->backend().parallel_for(count, [&](std::size_t i, std::size_t worker) {
-    timed_item([&] { job(i, worker, base + i); });
-  });
-}
-
-BatchErrorReport FanOutCore::fold_statuses(
-    std::vector<ItemStatus> statuses) const {
-  // Serial fold in input order: first_error is the lowest-index failure no
-  // matter which worker finished first, keeping the report itself inside
-  // the bit-identical-at-any-worker-count contract.
-  BatchErrorReport report;
-  report.items = std::move(statuses);
-  for (const ItemStatus& st : report.items) {
-    if (st.ok) {
-      ++report.succeeded;
-    } else {
-      if (report.failed == 0) report.first_error = st.error;
-      ++report.failed;
-    }
-  }
-  return report;
-}
-
 BatchErrorReport FanOutCore::run_isolated(std::size_t count,
                                           const Job& job) const {
   std::vector<ItemStatus> statuses(count);
@@ -92,33 +66,20 @@ BatchErrorReport FanOutCore::run_isolated(std::size_t count,
       record_item(obs::now_ns() - t0, statuses[i].ok);
     });
   }
-  return fold_statuses(std::move(statuses));
-}
-
-BatchErrorReport FanOutCore::run_with_ids_isolated(std::size_t count,
-                                                   const IdJob& job) const {
-  std::vector<ItemStatus> statuses(count);
-  if (count != 0) {
-    // Ids are reserved exactly as in the throwing mode — base + i for every
-    // item, failed or not — so surviving items consume the same streams a
-    // fault-free batch would and stay bit-identical to it.
-    const u64 base = reserve_stream_ids(count);
-    ctx_->backend().parallel_for(count, [&](std::size_t i,
-                                            std::size_t worker) {
-      const u64 t0 = obs::now_ns();
-      try {
-        job(i, worker, base + i);
-      } catch (const std::exception& e) {
-        statuses[i].ok = false;
-        statuses[i].error = e.what();
-      } catch (...) {
-        statuses[i].ok = false;
-        statuses[i].error = "unknown exception";
-      }
-      record_item(obs::now_ns() - t0, statuses[i].ok);
-    });
+  // Serial fold in input order: first_error is the lowest-index failure no
+  // matter which worker finished first, keeping the report itself inside
+  // the bit-identical-at-any-worker-count contract.
+  BatchErrorReport report;
+  report.items = std::move(statuses);
+  for (const ItemStatus& st : report.items) {
+    if (st.ok) {
+      ++report.succeeded;
+    } else {
+      if (report.failed == 0) report.first_error = st.error;
+      ++report.failed;
+    }
   }
-  return fold_statuses(std::move(statuses));
+  return report;
 }
 
 }  // namespace abc::engine

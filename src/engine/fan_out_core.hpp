@@ -7,10 +7,10 @@
 ///
 ///  * **Contiguous stream-id reservation.** Randomness-consuming work
 ///    reserves its id block from the *context-wide* atomic counter
-///    (CkksContext::reserve_stream_ids) BEFORE any fan-out, so scheduling
-///    cannot change which item gets which stream — and two engines sharing
-///    a context can never alias a stream id, no matter how their calls
-///    interleave.
+///    (reserve_stream_ids(), forwarding CkksContext::reserve_stream_ids)
+///    BEFORE it fans out, so scheduling cannot change which item gets
+///    which stream — and two engines sharing a context can never alias a
+///    stream id, no matter how their calls interleave.
 ///  * **Per-worker scratch pools** (ScratchPool<S>): one scratch per
 ///    backend lane, indexed by the worker id parallel_for hands each job,
 ///    so hot paths stop allocating after warm-up without any locking.
@@ -19,15 +19,16 @@
 ///    reduction) and any randomness is fully determined by the reserved
 ///    (domain, stream id) — so a ScalarBackend run, a 1-thread pool and an
 ///    8-thread pool all produce the same bytes. Engines inherit the
-///    contract by routing every fan-out through run()/run_with_ids().
-///  * **Failure isolation** (run_isolated()/run_with_ids_isolated()): the
-///    per-item-fault mode every engine exposes. One malformed item must
-///    not abort the batch — each job runs under its own catch, outcomes
-///    land in a BatchErrorReport in input order, and the serial fold picks
-///    the first error by input index (never by completion time), so the
-///    report itself is identical at any worker count. Stream ids are
-///    reserved identically in both modes, so the surviving items of a
-///    faulty batch are bit-identical to the same items of a clean one.
+///    contract by routing every fan-out through run() or run_isolated().
+///  * **Failure isolation** (run_isolated()): the per-item-fault mode of
+///    the two batch calls a retrying client needs (encrypt and verify).
+///    One malformed item must not abort the batch — each job runs under
+///    its own catch, outcomes land in a BatchErrorReport in input order,
+///    and the serial fold picks the first error by input index (never by
+///    completion time), so the report itself is identical at any worker
+///    count. The caller reserves stream ids the same way in both modes,
+///    so the surviving items of a faulty batch are bit-identical to the
+///    same items of a clean one.
 
 #include <cstddef>
 #include <functional>
@@ -65,8 +66,8 @@ struct BatchErrorReport {
 void record_item(u64 elapsed_ns, bool ok);
 
 /// Runs f() as one booked item; an exception is counted as a failure and
-/// propagates. run() and run_with_ids() wrap every job in it, and the
-/// serving daemon wraps each item it evaluates.
+/// propagates. run() wraps every job in it, and the serving daemon wraps
+/// each item it evaluates.
 template <class F>
 void timed_item(F&& f) {
   const u64 t0 = obs::now_ns();
@@ -94,31 +95,17 @@ class FanOutCore {
   }
 
   using Job = std::function<void(std::size_t index, std::size_t worker)>;
-  using IdJob =
-      std::function<void(std::size_t index, std::size_t worker, u64 id)>;
 
   /// Executes job(i, worker) for every i in [0, count) across the
   /// backend; exceptions from jobs rethrow on the calling thread.
   void run(std::size_t count, const Job& job) const;
-
-  /// Reserves @p count contiguous stream ids up front, then executes
-  /// job(i, worker, base + i) — the randomness-consuming fan-out shape.
-  void run_with_ids(std::size_t count, const IdJob& job) const;
 
   /// Fault-isolating run(): every job executes under its own catch, and
   /// the returned report records each item's outcome in input order. Jobs
   /// that complete are untouched by jobs that fail.
   BatchErrorReport run_isolated(std::size_t count, const Job& job) const;
 
-  /// Fault-isolating run_with_ids(): ids are reserved exactly as in the
-  /// throwing mode (base + i regardless of failures), so surviving items
-  /// are bit-identical to the same items of a fault-free batch.
-  BatchErrorReport run_with_ids_isolated(std::size_t count,
-                                         const IdJob& job) const;
-
  private:
-  BatchErrorReport fold_statuses(std::vector<ItemStatus> statuses) const;
-
   std::shared_ptr<const ckks::CkksContext> ctx_;
   std::size_t workers_;
 };

@@ -163,8 +163,9 @@ TEST(Engine, BatchItemsUseDistinctRandomness) {
 }
 
 TEST(Engine, MixedSingleAndBatchSharesCounter) {
-  // encrypt() and encrypt_batch() draw from one atomic counter: ids never
-  // collide, and everything stays decryptable.
+  // A one-off Encryptor and a BatchEncryptor on the same context draw
+  // from one atomic counter: ids never collide, and everything stays
+  // decryptable.
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
       params, std::make_shared<backend::ThreadPoolBackend>(2));
@@ -174,12 +175,13 @@ TEST(Engine, MixedSingleAndBatchSharesCounter) {
   ckks::CkksEncoder encoder(ctx);
 
   BatchEncryptor eng(ctx, sk);
+  ckks::Encryptor single_enc(ctx, sk);
   const auto msgs = random_batch(3, 16, 11);
   const auto first = eng.encrypt_batch(msgs, 2);
   // A one-off encrypt() between batches consumes exactly one id from the
-  // shared atomic counter...
+  // context's shared atomic counter...
   const ckks::Plaintext single_pt = encoder.encode(msgs[0], 2);
-  const ckks::Ciphertext single = eng.encryptor().encrypt(single_pt);
+  const ckks::Ciphertext single = single_enc.encrypt(single_pt);
   const auto second = eng.encrypt_batch(msgs, 2);
   // ...so the id sequence is first: base..base+2, single: base+3,
   // second: base+4.. — never a reuse.
@@ -200,29 +202,6 @@ TEST(Engine, MixedSingleAndBatchSharesCounter) {
   const std::span<const std::complex<double>> single_head(
       single_decoded.data(), msgs[0].size());
   EXPECT_GT(ckks::compare_slots(msgs[0], single_head).precision_bits, 12.0);
-}
-
-TEST(Engine, EncryptPlaintextsPath) {
-  const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
-  auto ctx = ckks::CkksContext::create(
-      params, std::make_shared<backend::ThreadPoolBackend>(2));
-  ckks::KeyGenerator keygen(ctx);
-  const ckks::SecretKey sk = keygen.secret_key();
-  ckks::Decryptor dec(ctx, sk);
-  ckks::CkksEncoder encoder(ctx);
-
-  const auto msgs = random_batch(3, ctx->slots(), 21);
-  std::vector<ckks::Plaintext> pts;
-  pts.reserve(msgs.size());
-  for (const auto& m : msgs) pts.push_back(encoder.encode(m, 3));
-
-  BatchEncryptor eng(ctx, keygen.public_key(sk));
-  const auto cts = eng.encrypt_plaintexts(pts);
-  ASSERT_EQ(cts.size(), pts.size());
-  for (std::size_t i = 0; i < cts.size(); ++i) {
-    const auto decoded = encoder.decode(dec.decrypt(cts[i]));
-    EXPECT_GT(ckks::compare_slots(msgs[i], decoded).precision_bits, 12.0);
-  }
 }
 
 TEST(Engine, OversizedMessageThrowsNotAborts) {

@@ -1,10 +1,10 @@
 // The fault matrix: every registered failpoint driven through the full
 // client -> server -> client session round trip (encrypt batch -> wire
 // envelope -> server key-switching rotations -> wire envelope -> verify),
-// plus the per-item-fault mode of each engine. The invariants under
-// injected faults: no deadlock, no crash — any failure is a catchable
-// std::exception — no half-written output, and a clean rerun succeeds the
-// moment the point is cleared.
+// plus the per-item-fault mode of the encrypt and verify batches. The
+// invariants under injected faults: no deadlock, no crash — any failure is
+// a catchable std::exception — no half-written output, and a clean rerun
+// succeeds the moment the point is cleared.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "ckks/evaluator.hpp"
 #include "ckks/serialize.hpp"
 #include "common/failpoint.hpp"
-#include "engine/batch_keygen.hpp"
 #include "engine/client_session.hpp"
 
 namespace abc {
@@ -302,32 +301,6 @@ TEST_F(FaultMatrixTest, ReportModeMatchesThrowingModeBytesWhenClean) {
   EXPECT_EQ(run(false), run(true));
 }
 
-TEST_F(FaultMatrixTest, DecryptReportModeIsolatesMalformedCiphertext) {
-  const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
-  auto ctx = ckks::CkksContext::create(
-      params, std::make_shared<backend::ThreadPoolBackend>(4));
-  engine::ClientSession session(ctx);
-  const auto msgs = random_batch(4, ctx->slots(), 9);
-  auto cts = session.encrypt(msgs, ctx->max_limbs());
-  cts[2].components.pop_back();  // structurally malformed item
-
-  engine::BatchErrorReport report;
-  const auto pts = session.decrypt_engine().decrypt_batch(cts, report);
-  ASSERT_EQ(pts.size(), cts.size());
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_FALSE(report.items[2].ok);
-  EXPECT_FALSE(pts[2].has_value());
-  for (std::size_t i : {0u, 1u, 3u}) {
-    ASSERT_TRUE(pts[i].has_value()) << i;
-  }
-  // decode path too: the failed slot is an empty vector.
-  const auto decoded = session.decrypt_engine().decrypt_decode_batch(
-      cts, report);
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_TRUE(decoded[2].empty());
-  EXPECT_EQ(decoded[0].size(), ctx->slots());
-}
-
 TEST_F(FaultMatrixTest, VerifyReportModeSurvivesThrowingItems) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(
@@ -348,45 +321,6 @@ TEST_F(FaultMatrixTest, VerifyReportModeSurvivesThrowingItems) {
   EXPECT_FALSE(report.items[1].ok);
   EXPECT_EQ(report.passed, 2u);
   EXPECT_EQ(report.failed, 1u);
-}
-
-TEST_F(FaultMatrixTest, KeygenReportModeVoidsOnlyTheFailedKey) {
-  // Scalar backend: run_isolated executes items in order, so hit:2 on the
-  // keygen digit point deterministically fails digit 1 — which belongs to
-  // the relin key / the first galois step respectively.
-  const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
-  auto ctx = ckks::CkksContext::create(params);
-  ckks::KeyGenerator kg(ctx);
-  const ckks::SecretKey sk = kg.secret_key();
-  engine::BatchKeyGenerator eng(ctx, sk);
-
-  fail::Policy policy;
-  policy.trigger = fail::Trigger::kNthHit;
-  policy.nth = 2;
-  fail::arm(fail::points::kKeygenDigit, policy);
-  engine::BatchErrorReport report;
-  const ckks::RelinKey rlk = eng.relin_key(report);
-  ASSERT_EQ(report.size(), ctx->max_limbs());
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_FALSE(report.items[1].ok);
-  EXPECT_EQ(rlk.key.digits(), 0u) << "failed key must be voided whole";
-  fail::disarm_all();
-
-  fail::arm(fail::points::kKeygenDigit, policy);
-  const std::vector<int> steps = {1, 2};
-  const ckks::GaloisKeys gks = eng.galois_keys(steps, report);
-  ASSERT_EQ(report.size(), steps.size());
-  EXPECT_EQ(report.failed, 1u);
-  EXPECT_FALSE(report.items[0].ok) << "digit 1 belongs to step 0";
-  EXPECT_TRUE(report.items[1].ok);
-  EXPECT_EQ(gks.keys[0].digits(), 0u);
-  EXPECT_EQ(gks.keys[1].digits(), ctx->max_limbs());
-  fail::disarm_all();
-
-  // Cleared: both regenerate whole.
-  const ckks::RelinKey clean = eng.relin_key(report);
-  EXPECT_TRUE(report.ok());
-  EXPECT_EQ(clean.key.digits(), ctx->max_limbs());
 }
 
 TEST_F(FaultMatrixTest, ProbabilisticFaultsNeverWedgeTheReportMode) {

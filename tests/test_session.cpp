@@ -8,6 +8,7 @@
 
 #include "backend/scalar_backend.hpp"
 #include "backend/thread_pool_backend.hpp"
+#include "common/failpoint.hpp"
 #include "engine/batch_decryptor.hpp"
 #include "engine/batch_encryptor.hpp"
 #include "engine/client_session.hpp"
@@ -412,6 +413,47 @@ TEST(ClientSession, RetryResendsOnlyFailedItemsUnderFreshStreamIds) {
   for (u64 prior : upload_stream_ids[0]) {
     EXPECT_NE(upload_stream_ids[1][0], prior);
     EXPECT_GT(upload_stream_ids[1][0], prior);
+  }
+}
+
+TEST(ClientSession, RetryResendsOnlyTheItemWhoseEncryptOrVerifyFaulted) {
+  // One item's encrypt or verify fault costs that item — and only that
+  // item — a second send. ScalarBackend runs items in input order, so
+  // hit:2,limit:1 on the per-item failpoint faults item 1 of round 1.
+  struct Case {
+    const char* point;
+    std::vector<std::size_t> shipped;  // items per transport call
+  };
+  // A failed encrypt never ships; a failed verify shipped with the rest.
+  const Case cases[] = {{fail::points::kEncryptItem, {2, 1}},
+                        {fail::points::kVerifyItem, {3, 1}}};
+  const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.point);
+    auto ctx = ckks::CkksContext::create(
+        params, std::make_shared<backend::ScalarBackend>());
+    engine::ClientSession session(ctx);
+    const auto msgs = random_batch(3, ctx->slots(), 47);
+    std::vector<std::size_t> shipped;
+    const auto echo = [&](std::span<const u8> upload) {
+      shipped.push_back(
+          ckks::deserialize_ciphertext_batch(ctx, upload).size());
+      return std::vector<u8>(upload.begin(), upload.end());
+    };
+    fail::Policy policy;
+    policy.trigger = fail::Trigger::kNthHit;
+    policy.nth = 2;
+    policy.max_fires = 1;
+    const fail::ScopedFailpoint armed(c.point, policy);
+    const engine::ClientSession::RetryReport report =
+        session.round_trip_with_retry(msgs, ctx->max_limbs(), echo);
+    EXPECT_EQ(fail::fires(c.point), 1u);
+    EXPECT_TRUE(report.ok);
+    EXPECT_EQ(report.rounds, 2u);
+    EXPECT_TRUE(report.round_errors.empty());
+    EXPECT_EQ(report.attempts, (std::vector<std::size_t>{1, 2, 1}));
+    EXPECT_EQ(shipped, c.shipped);
+    EXPECT_EQ(report.verify.passed, msgs.size());
   }
 }
 
