@@ -105,6 +105,7 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
   RetryReport report;
   report.attempts.assign(n, 0);
   report.verify.items.resize(n);
+  report.item_errors.resize(n);
   std::vector<std::size_t> pending(n);
   for (std::size_t i = 0; i < n; ++i) pending[i] = i;
 
@@ -141,6 +142,7 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
     if (!sent.empty()) {
       bool round_ok = true;
       BatchVerifyReport round_verify;
+      BatchErrorReport verify_errors;
       try {
         const std::vector<u8> response = transport(
             serialize_ciphertext_batch(wire, config_.bits_per_coeff));
@@ -151,7 +153,6 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
         std::vector<std::vector<std::complex<double>>> expected;
         expected.reserve(sent.size());
         for (std::size_t j : sent) expected.push_back(round_msgs[j]);
-        BatchErrorReport verify_errors;
         round_verify =
             decryptor_.verify_batch(returned, expected, verify_errors, bound);
       } catch (const std::exception& e) {
@@ -164,14 +165,23 @@ ClientSession::RetryReport ClientSession::round_trip_with_retry(
         const std::size_t i = pending[sent[k]];
         if (round_ok && round_verify.items[k].ok) {
           report.verify.items[i] = round_verify.items[k];
+          report.item_errors[i].clear();
         } else {
-          if (round_ok) report.verify.items[i] = round_verify.items[k];
+          if (round_ok) {
+            report.verify.items[i] = round_verify.items[k];
+            if (!verify_errors.items[k].ok) {
+              report.item_errors[i] = verify_errors.items[k].error;
+            }
+          }
           next_pending.push_back(i);
         }
       }
     }
     for (std::size_t j = 0; j < pending.size(); ++j) {
-      if (!enc_errors.items[j].ok) next_pending.push_back(pending[j]);
+      if (!enc_errors.items[j].ok) {
+        report.item_errors[pending[j]] = enc_errors.items[j].error;
+        next_pending.push_back(pending[j]);
+      }
     }
     // Keep input order so the next round's stream assignment (and the
     // report) stays schedule-independent.

@@ -130,6 +130,10 @@ class ClientSession {
     std::vector<std::string> round_errors;  // whole-round failures
                                             // (transport/parse), in round
                                             // order; empty entries elided
+    std::vector<std::string> item_errors;   // input order; what() of the
+                                            // item's last failed encrypt
+                                            // or verify call, empty once
+                                            // an attempt verified
   };
 
   /// Full round trip with bounded retry: encrypts @p messages, ships them

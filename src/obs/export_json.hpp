@@ -20,8 +20,8 @@
 ///     }
 ///
 /// Written by hand (no JSON dependency in the image); emits only what the
-/// snapshot holds, so an ABC_NO_METRICS build answers with empty metric
-/// maps, "metrics_enabled": false, and live trace data.
+/// snapshot holds. "metrics_enabled" is always true; it stays in the
+/// document because scrapers read it.
 
 #include <string>
 

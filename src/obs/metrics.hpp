@@ -11,9 +11,8 @@
 ///
 ///  * **Counter** — monotonic u64 (requests admitted, bytes out);
 ///  * **Gauge** — signed instantaneous value maintained by +/- deltas
-///    (queue depth, resident tenants). Deltas instead of set() keep
-///    gauges shardable: the true value is the sum of every thread's
-///    deltas, so the hot path stays one relaxed atomic add;
+///    (queue depth, resident tenants), stored two's complement in a u64
+///    cell so the hot path stays one relaxed atomic add;
 ///  * **Histogram** — fixed-boundary log2-scale distribution (latencies,
 ///    sizes). Bucket i of kHistBuckets holds values whose bit width is i
 ///    (bucket 0 = {0}, bucket i = [2^(i-1), 2^i), last bucket = overflow),
@@ -21,16 +20,18 @@
 ///    no floating point. p50/p95/p99 come out of the bucket counts at
 ///    scrape time with linear interpolation inside the bucket.
 ///
-/// ## Sharding and the hot path
+/// ## Cells and the hot path
 ///
-/// The registry never takes a lock on the record path. Each thread owns a
-/// shard — a flat array of relaxed `std::atomic<u64>` cells — found
-/// through a thread-local cache; a metric instance owns a fixed cell
-/// range, so `Counter::inc()` is: load the TLS shard pointer, one relaxed
-/// `fetch_add`. Scrapes aggregate across shards (and across instances of
-/// the same name) under the registry mutex; relaxed loads racing live
-/// increments are benign — a scrape sees a value at least as fresh as the
-/// last full barrier, and monotonic counters never go backwards.
+/// The registry never takes a lock on the record path. Each metric
+/// instance owns one heap array of relaxed `std::atomic<u64>` cells (1 for
+/// a counter or gauge, kHistBuckets+1 for a histogram), so
+/// `Counter::inc()` is one relaxed `fetch_add` on the handle's own cell
+/// and `value()` one relaxed load. The serving path makes ~14 increments
+/// per request — thousands per second, not millions — so threads sharing
+/// a cell never contend measurably. Scrapes sum instances of the same name
+/// under the registry mutex; relaxed loads racing live increments are
+/// benign — a scrape sees a value at least as fresh as the last full
+/// barrier, and monotonic counters never go backwards.
 ///
 /// ## Instances
 ///
@@ -38,21 +39,17 @@
 /// under one definition: each Server owns its own `server.accepted`
 /// counter (so per-server `stats()` keeps exact per-instance semantics
 /// via `Counter::value()`), while `Registry::snapshot()` sums every
-/// instance — the unified process view. Handles are RAII: destruction
-/// folds the instance's total into the definition's retired aggregate and
-/// recycles the cells, so totals survive instance churn and the cell
-/// space stays bounded.
-///
-/// ## Compile-out
-///
-/// Defining ABC_NO_METRICS (CMake -DABC_NO_METRICS=ON) turns every handle
-/// into a no-op and snapshots into empty documents while keeping the API
-/// linkable — the <=2% overhead acceptance bound is measured against this
-/// build (bench_server_saturation in both configurations).
+/// instance — the unified process view. Handles are RAII: destruction (or
+/// move-assignment over an engaged handle) folds the instance's totals
+/// into the definition's retired aggregate and drops it from the live
+/// list, so totals survive instance churn. Moving a handle moves the cell
+/// array with it: the new owner keeps counting into the same instance.
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -62,12 +59,9 @@
 
 namespace abc::obs {
 
-/// False when the build compiled metrics out (ABC_NO_METRICS).
-#ifdef ABC_NO_METRICS
-inline constexpr bool kMetricsEnabled = false;
-#else
+/// Always true: the registry is part of every build. Kept because the
+/// Op::kStats document's "metrics_enabled" field is scrape format.
 inline constexpr bool kMetricsEnabled = true;
-#endif
 
 enum class Kind : u8 { kCounter = 0, kGauge = 1, kHistogram = 2 };
 
@@ -121,7 +115,7 @@ struct HistogramValue {
 };
 
 /// Point-in-time aggregate of every definition in a registry: retired
-/// totals plus every live instance summed across every thread shard.
+/// totals plus every live instance.
 struct MetricsSnapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
@@ -244,86 +238,98 @@ inline constexpr Entry kAll[] = {
 
 class Registry;
 
-/// Monotonic counter instance. Default-constructed handles are
-/// disengaged no-ops (and every handle is a no-op under ABC_NO_METRICS).
-class Counter {
+namespace detail {
+
+/// The RAII core the three handle kinds share: one heap array of cells
+/// this instance records into, listed live under its registry definition
+/// until destruction or move-assignment folds it into the retired totals.
+/// Default-constructed (and moved-from) instances own no cells and are
+/// inert no-ops.
+class Instance {
+ public:
+  Instance(const Instance&) = delete;
+  Instance& operator=(const Instance&) = delete;
+
+ protected:
+  Instance() = default;
+  ~Instance() { retire(); }
+  Instance(Instance&& other) noexcept = default;
+  Instance& operator=(Instance&& other) noexcept;
+
+  void add(std::size_t cell, u64 delta) noexcept {
+    if (cells_) cells_[cell].fetch_add(delta, std::memory_order_relaxed);
+  }
+  u64 load(std::size_t cell) const noexcept {
+    return cells_ ? cells_[cell].load(std::memory_order_relaxed) : 0;
+  }
+
+  std::unique_ptr<std::atomic<u64>[]> cells_;
+
+ private:
+  friend class abc::obs::Registry;
+  Instance(Registry* reg, u32 def, std::unique_ptr<std::atomic<u64>[]> cells)
+      : cells_(std::move(cells)), reg_(reg), def_(def) {}
+  void retire() noexcept;
+
+  Registry* reg_ = nullptr;
+  u32 def_ = 0;
+};
+
+}  // namespace detail
+
+/// Monotonic counter instance.
+class Counter : private detail::Instance {
  public:
   Counter() = default;
-  ~Counter();
-  Counter(Counter&& other) noexcept { move_from(other); }
-  Counter& operator=(Counter&& other) noexcept;
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
 
-  /// One relaxed atomic add on this thread's shard.
-  void inc(u64 n = 1) noexcept;
+  /// One relaxed atomic add on this instance's cell.
+  void inc(u64 n = 1) noexcept { add(0, n); }
 
-  /// This instance's total across all shards (not other instances of the
-  /// same name — the per-instance forwarder semantics ContextCache and
-  /// Server::stats() rely on).
-  u64 value() const noexcept;
+  /// This instance's total (not other instances of the same name — the
+  /// per-instance forwarder semantics ContextCache and Server::stats()
+  /// rely on).
+  u64 value() const noexcept { return load(0); }
 
  private:
   friend class Registry;
-  void move_from(Counter& other) noexcept;
-  Registry* reg_ = nullptr;
-  u32 def_ = 0;
-  u32 cell_ = 0;
+  explicit Counter(Instance&& inst) : Instance(std::move(inst)) {}
 };
 
 /// Delta-maintained signed gauge instance.
-class Gauge {
+class Gauge : private detail::Instance {
  public:
   Gauge() = default;
-  ~Gauge();
-  Gauge(Gauge&& other) noexcept { move_from(other); }
-  Gauge& operator=(Gauge&& other) noexcept;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
 
-  void add(i64 delta) noexcept;
+  void add(i64 delta) noexcept { Instance::add(0, static_cast<u64>(delta)); }
   void sub(i64 delta) noexcept { add(-delta); }
-  i64 value() const noexcept;
+  i64 value() const noexcept { return static_cast<i64>(load(0)); }
 
  private:
   friend class Registry;
-  void move_from(Gauge& other) noexcept;
-  Registry* reg_ = nullptr;
-  u32 def_ = 0;
-  u32 cell_ = 0;
+  explicit Gauge(Instance&& inst) : Instance(std::move(inst)) {}
 };
 
 /// Log2-bucket histogram instance.
-class Histogram {
+class Histogram : private detail::Instance {
  public:
   Histogram() = default;
-  ~Histogram();
-  Histogram(Histogram&& other) noexcept { move_from(other); }
-  Histogram& operator=(Histogram&& other) noexcept;
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
 
-  /// Two relaxed adds (bucket + sum) on this thread's shard.
-  void record(u64 value) noexcept;
+  /// Two relaxed adds: the value's bucket and the sum cell.
+  void record(u64 value) noexcept {
+    add(hist_bucket_index(value), 1);
+    add(kHistBuckets, value);
+  }
 
-  /// This instance's distribution across all shards.
+  /// This instance's distribution.
   HistogramValue read() const noexcept;
 
  private:
   friend class Registry;
-  void move_from(Histogram& other) noexcept;
-  Registry* reg_ = nullptr;
-  u32 def_ = 0;
-  u32 cell_ = 0;
+  explicit Histogram(Instance&& inst) : Instance(std::move(inst)) {}
 };
 
 class Registry {
  public:
-  /// Cells per thread shard. An instance consumes 1 (counter/gauge) or
-  /// kHistBuckets+1 (histogram) cells; retirement recycles them, so this
-  /// bounds *live* instances, not lifetime registrations.
-  static constexpr std::size_t kShardCells = 8192;
-
   Registry();
   ~Registry();
   Registry(const Registry&) = delete;
@@ -344,26 +350,21 @@ class Registry {
   /// snapshot (the failpoint hit/fire re-export).
   void add_external_counter(std::string_view name, u64 (*read)());
 
-  /// Aggregates every definition: retired totals + live instances across
-  /// all shards + external sources. Safe to call while other threads
-  /// record (relaxed reads; tested under TSan).
+  /// Aggregates every definition: retired totals + live instances +
+  /// external sources. Safe to call while other threads record (relaxed
+  /// reads; tested under TSan).
   MetricsSnapshot snapshot() const;
 
   /// The process-wide registry every instrumented subsystem uses.
   static Registry& global();
 
  private:
-  friend class Counter;
-  friend class Gauge;
-  friend class Histogram;
+  friend class detail::Instance;
   struct Impl;
-  Impl* impl_ = nullptr;  // pimpl so the header stays atomic-layout-free
+  Impl* impl_ = nullptr;  // pimpl so the header stays mutex/map-free
 
-  u64 read_cells(u32 cell, std::size_t span,
-                 std::array<u64, kHistBuckets + 1>* out) const noexcept;
-  void add_cell(u32 cell, u64 delta) noexcept;
-  void retire(u32 def, u32 cell) noexcept;
-  std::pair<u32, u32> register_instance(std::string_view name, Kind kind);
+  detail::Instance register_instance(std::string_view name, Kind kind);
+  void retire(u32 def, const std::atomic<u64>* cells) noexcept;
 };
 
 /// Shorthand for Registry::global().

@@ -1,10 +1,10 @@
 // Registry battery for the obs metrics subsystem: concurrent-increment
 // exactness, histogram bucket boundaries at edge values, quantile
 // extraction, instance aggregation and retirement, gauge delta semantics,
-// kind-mismatch rejection, external counter polling, the pre-registered
-// catalog, failpoint re-export, and the ABC_NO_METRICS compile-out
-// contract. The snapshot-while-writing tests double as the TSan leg's
-// obs coverage (suite name MetricsTest is in the CI tsan regex).
+// kind-mismatch rejection, handle moves, external counter polling, the
+// pre-registered catalog, and failpoint re-export. The snapshot-while-
+// writing tests double as the TSan leg's obs coverage (suite name
+// MetricsTest is in the CI tsan regex).
 
 #include <gtest/gtest.h>
 
@@ -27,12 +27,11 @@ using obs::Histogram;
 using obs::HistogramValue;
 using obs::Kind;
 using obs::kHistBuckets;
-using obs::kMetricsEnabled;
 using obs::MetricsSnapshot;
 using obs::Registry;
 
 // ---------------------------------------------------------------------------
-// Histogram layout (pure constexpr — holds in every build)
+// Histogram layout (pure constexpr)
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, HistogramBucketIndexEdgeValues) {
@@ -73,7 +72,6 @@ TEST(MetricsTest, HistogramBucketBoundsAreContiguous) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, CounterConcurrentIncrementExactness) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Counter c = reg.counter("t.hits");
   constexpr std::size_t kThreads = 8;
@@ -85,13 +83,12 @@ TEST(MetricsTest, CounterConcurrentIncrementExactness) {
     });
   }
   for (auto& t : threads) t.join();
-  // Per-thread shards summed on read: not one increment lost.
+  // Every thread adds into the instance's one cell: not one lost.
   EXPECT_EQ(c.value(), kThreads * kPerThread);
   EXPECT_EQ(reg.snapshot().counter_value("t.hits"), kThreads * kPerThread);
 }
 
 TEST(MetricsTest, CounterSnapshotWhileWriting) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   // Scrapes racing live increments must be safe (TSan leg) and monotone,
   // and the post-join scrape must be exact.
   Registry reg;
@@ -116,7 +113,6 @@ TEST(MetricsTest, CounterSnapshotWhileWriting) {
 }
 
 TEST(MetricsTest, CounterInstancesAggregateUnderOneName) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Counter a = reg.counter("t.shared");
   Counter b = reg.counter("t.shared");
@@ -130,22 +126,71 @@ TEST(MetricsTest, CounterInstancesAggregateUnderOneName) {
 }
 
 TEST(MetricsTest, RetiredInstanceTotalsSurviveInSnapshot) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   {
     Counter c = reg.counter("t.churn");
     c.inc(5);
-  }  // handle destroyed: total folds into the definition's retired sum
-  EXPECT_EQ(reg.snapshot().counter_value("t.churn"), 5u);
-  // A fresh instance (likely recycling the same cells) starts at zero.
+    Gauge g = reg.gauge("t.churn_g");
+    g.add(2);
+    g.sub(6);  // net -4: the fold must keep the sign
+    Histogram h = reg.histogram("t.churn_h");
+    h.record(3);
+    h.record(1000);
+  }  // handles destroyed: totals fold into the definitions' retired sums
+  MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("t.churn"), 5u);
+  EXPECT_EQ(snap.gauge_value("t.churn_g"), -4);
+  const HistogramValue* retired = snap.histogram("t.churn_h");
+  ASSERT_NE(retired, nullptr);
+  EXPECT_EQ(retired->count, 2u);
+  EXPECT_EQ(retired->buckets[2], 1u);   // 3 in [2, 4)
+  EXPECT_EQ(retired->buckets[10], 1u);  // 1000 in [512, 1024)
+  EXPECT_EQ(retired->sum, 1003u);
+  // Fresh instances start at zero and add onto the retired totals.
   Counter again = reg.counter("t.churn");
+  Gauge again_g = reg.gauge("t.churn_g");
+  Histogram again_h = reg.histogram("t.churn_h");
   EXPECT_EQ(again.value(), 0u);
+  EXPECT_EQ(again_g.value(), 0);
+  EXPECT_EQ(again_h.read().count, 0u);
   again.inc(2);
-  EXPECT_EQ(reg.snapshot().counter_value("t.churn"), 7u);
+  again_g.add(1);
+  again_h.record(3);
+  snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("t.churn"), 7u);
+  EXPECT_EQ(snap.gauge_value("t.churn_g"), -3);
+  EXPECT_EQ(snap.histogram("t.churn_h")->count, 3u);
+  EXPECT_EQ(snap.histogram("t.churn_h")->buckets[2], 2u);
+  EXPECT_EQ(snap.histogram("t.churn_h")->sum, 1006u);
+}
+
+TEST(MetricsTest, MovedHandleKeepsCountingAndRetiresOnce) {
+  Registry reg;
+  Counter dest = reg.counter("t.moved_into");  // engaged: the move retires it
+  dest.inc(1);
+  {
+    Counter src = reg.counter("t.moved");
+    src.inc(2);
+    Counter owner(std::move(src));  // move-construct
+    owner.inc(3);
+    EXPECT_EQ(owner.value(), 5u) << "the same instance, not a fresh one";
+    EXPECT_EQ(src.value(), 0u) << "moved-from handles are inert";
+    src.inc(100);
+    dest = std::move(owner);  // move-assign over an engaged handle
+    dest.inc(4);
+    EXPECT_EQ(dest.value(), 9u);
+  }  // src and owner die disengaged: nothing more may fold
+  MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("t.moved"), 9u);
+  EXPECT_EQ(snap.counter_value("t.moved_into"), 1u)
+      << "the overwritten instance retired its total";
+  dest = Counter();  // retires the moved instance exactly once
+  snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("t.moved"), 9u);
+  EXPECT_EQ(snap.counter_value("t.moved_into"), 1u);
 }
 
 TEST(MetricsTest, KindMismatchOnReRegistrationThrows) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Counter c = reg.counter("t.kind");
   EXPECT_THROW((void)reg.histogram("t.kind"), InvalidArgument);
@@ -157,15 +202,13 @@ TEST(MetricsTest, KindMismatchOnReRegistrationThrows) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, GaugeAddSubFromManyThreads) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Gauge g = reg.gauge("t.depth");
   g.add(10);
   g.sub(3);
   EXPECT_EQ(g.value(), 7);
   EXPECT_EQ(reg.snapshot().gauge_value("t.depth"), 7);
-  // Deltas shard like counters: balanced add/sub across threads nets to
-  // the true value even though each thread's cell holds a partial sum.
+  // Balanced add/sub across threads nets to the true value.
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&g] {
@@ -184,7 +227,6 @@ TEST(MetricsTest, GaugeAddSubFromManyThreads) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, HistogramRecordsIntoCorrectBuckets) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Histogram h = reg.histogram("t.lat");
   const u64 values[] = {0, 1, 2, 3, 4, 1023, 1024, ~u64{0}};
@@ -204,7 +246,6 @@ TEST(MetricsTest, HistogramRecordsIntoCorrectBuckets) {
 }
 
 TEST(MetricsTest, HistogramQuantilesInterpolateWithinBucket) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Histogram h = reg.histogram("t.q");
   EXPECT_EQ(h.read().quantile(0.5), 0.0) << "empty histogram reads 0";
@@ -225,7 +266,6 @@ TEST(MetricsTest, HistogramQuantilesInterpolateWithinBucket) {
 }
 
 TEST(MetricsTest, HistogramConcurrentRecordExactCount) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   Histogram h = reg.histogram("t.conc");
   constexpr std::size_t kThreads = 8;
@@ -246,7 +286,6 @@ TEST(MetricsTest, HistogramConcurrentRecordExactCount) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, GlobalRegistryPreRegistersEntireCatalog) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   const MetricsSnapshot snap = obs::registry().snapshot();
   for (const obs::catalog::Entry& e : obs::catalog::kAll) {
     switch (e.kind) {
@@ -269,7 +308,6 @@ u64 read() { return value; }
 }  // namespace external_counter
 
 TEST(MetricsTest, ExternalCounterIsPolledAtSnapshot) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   Registry reg;
   reg.add_external_counter("t.external", &external_counter::read);
   external_counter::value = 41;
@@ -279,7 +317,6 @@ TEST(MetricsTest, ExternalCounterIsPolledAtSnapshot) {
 }
 
 TEST(MetricsTest, FailpointTotalsReExportedThroughGlobalRegistry) {
-  if (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   const u64 hits_before =
       obs::registry().snapshot().counter_value(obs::catalog::kFailpointHits);
   fail::Policy delay;  // zero-microsecond delay: fires without throwing
@@ -296,34 +333,6 @@ TEST(MetricsTest, FailpointTotalsReExportedThroughGlobalRegistry) {
             fail::total_hits());
   EXPECT_EQ(snap.counter_value(obs::catalog::kFailpointFires),
             fail::total_fires());
-}
-
-// ---------------------------------------------------------------------------
-// Compile-out contract
-// ---------------------------------------------------------------------------
-
-TEST(MetricsTest, CompileOutContract) {
-  // The API is linkable and inert in either build; what changes is
-  // whether anything is recorded.
-  Registry reg;
-  Counter c = reg.counter("t.flag");
-  Gauge g = reg.gauge("t.flag_g");
-  Histogram h = reg.histogram("t.flag_h");
-  c.inc(7);
-  g.add(7);
-  h.record(7);
-  const MetricsSnapshot snap = reg.snapshot();
-  if (kMetricsEnabled) {
-    EXPECT_EQ(c.value(), 7u);
-    EXPECT_EQ(snap.counter_value("t.flag"), 7u);
-  } else {
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
-    EXPECT_EQ(h.read().count, 0u);
-    EXPECT_TRUE(snap.counters.empty());
-    EXPECT_TRUE(snap.gauges.empty());
-    EXPECT_TRUE(snap.histograms.empty());
-  }
 }
 
 TEST(MetricsTest, DefaultConstructedHandlesAreInertInEveryBuild) {
@@ -356,16 +365,12 @@ TEST(MetricsTest, StatsJsonCarriesCountersAndLayout) {
   EXPECT_NE(json.find("\"histogram_layout\""), std::string::npos);
   EXPECT_NE(json.find("\"traces\""), std::string::npos);
   EXPECT_NE(json.find("\"slow_count\":1"), std::string::npos);
-  if (kMetricsEnabled) {
-    EXPECT_NE(json.find("\"t.json\":9"), std::string::npos);
-    EXPECT_NE(json.find("\"metrics_enabled\":true"), std::string::npos);
-  } else {
-    EXPECT_NE(json.find("\"metrics_enabled\":false"), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"t.json\":9"), std::string::npos);
+  EXPECT_NE(json.find("\"metrics_enabled\":true"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Trace ring (independent of the metrics flag)
+// Trace ring
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, TraceRingKeepsNewestAndCountsSlow) {

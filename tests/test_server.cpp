@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/failpoint.hpp"
-#include "obs/metrics.hpp"
 #include "engine/client_session.hpp"
 #include "server/server.hpp"
 #include "server/transport.hpp"
@@ -154,10 +153,8 @@ TEST_F(ServerTest, SoakResponsesBitIdenticalToSerialAtEveryWorkerCount) {
       }
     }
     const server::ServerStats stats = srv.stats();
-    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-      EXPECT_EQ(stats.accepted, kRequests);
-      EXPECT_EQ(stats.processed, kRequests);
-    }
+    EXPECT_EQ(stats.accepted, kRequests);
+    EXPECT_EQ(stats.processed, kRequests);
   }
 }
 
@@ -265,10 +262,8 @@ TEST_F(ServerTest, OverloadFloodRejectsTypedImmediatelyAndRecovers) {
     EXPECT_GE(immediate, queue_full);  // every rejection was instant
     EXPECT_LE(kFlood - queue_full, cfg.queue_capacity + workers);
     const server::ServerStats stats = srv.stats();
-    if (obs::kMetricsEnabled) {  // counters read 0 under ABC_NO_METRICS
-      EXPECT_EQ(stats.rejected_queue_full, queue_full);
-      EXPECT_EQ(stats.accepted + stats.rejected_queue_full, kFlood);
-    }
+    EXPECT_EQ(stats.rejected_queue_full, queue_full);
+    EXPECT_EQ(stats.accepted + stats.rejected_queue_full, kFlood);
 
     // Recovery: with the delay gone the same server drains normally.
     fail::disarm_all();
@@ -329,7 +324,7 @@ TEST_F(ServerTest, AdmissionBoundsPayloadBytesBeforeEnqueue) {
   const ckks::ResponseFrame at_bound =
       srv.call(make_request(1, 2, Op::kEcho, 0, std::vector<u8>(16, 0xab)));
   EXPECT_EQ(status_of(at_bound), Status::kUnknownTenant);
-  if (obs::kMetricsEnabled) EXPECT_EQ(srv.stats().rejected_too_large, 1u);
+  EXPECT_EQ(srv.stats().rejected_too_large, 1u);
 }
 
 TEST_F(ServerTest, StoppedServerAnswersShuttingDown) {

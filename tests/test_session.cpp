@@ -457,6 +457,37 @@ TEST(ClientSession, RetryResendsOnlyTheItemWhoseEncryptOrVerifyFaulted) {
   }
 }
 
+TEST(ClientSession, RetryReportKeepsTheLastErrorOfAnItemThatRanOut) {
+  // max_attempts = 1: the faulted item never gets a second send, so its
+  // entry keeps the injected fault's message; the others verified.
+  const char* const points[] = {fail::points::kEncryptItem,
+                                fail::points::kVerifyItem};
+  const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
+  for (const char* point : points) {
+    SCOPED_TRACE(point);
+    auto ctx = ckks::CkksContext::create(
+        params, std::make_shared<backend::ScalarBackend>());
+    engine::ClientSession session(ctx);
+    const auto msgs = random_batch(3, ctx->slots(), 53);
+    const auto echo = [](std::span<const u8> upload) {
+      return std::vector<u8>(upload.begin(), upload.end());
+    };
+    fail::Policy policy;
+    policy.trigger = fail::Trigger::kNthHit;
+    policy.nth = 2;
+    policy.max_fires = 1;
+    const fail::ScopedFailpoint armed(point, policy);
+    const engine::ClientSession::RetryReport report =
+        session.round_trip_with_retry(msgs, ctx->max_limbs(), echo, 1);
+    EXPECT_FALSE(report.ok);
+    ASSERT_EQ(report.item_errors.size(), msgs.size());
+    EXPECT_NE(report.item_errors[1].find(point), std::string::npos)
+        << report.item_errors[1];
+    EXPECT_TRUE(report.item_errors[0].empty()) << report.item_errors[0];
+    EXPECT_TRUE(report.item_errors[2].empty()) << report.item_errors[2];
+  }
+}
+
 TEST(ClientSession, RetryGivesUpAfterMaxAttempts) {
   const ckks::CkksParams params = ckks::CkksParams::test_small(10, 3);
   auto ctx = ckks::CkksContext::create(params);
